@@ -998,10 +998,11 @@ class UpdateSession:
     def _refresh_cache(self, mutated: set[str]) -> None:
         """Bring the probe cache in line with applied mutations.
 
-        Under maintenance, the drained delta events stream into every
-        affected entry (unmaintainable ones drop, forcing a recompute
-        on next probe); otherwise the pre-IVM behaviour holds and the
-        FK-cascade closure of *mutated* is invalidated wholesale.
+        Under maintenance, the drained delta events stream into the
+        entries they can reach (unmaintainable ones drop, forcing a
+        recompute on next probe); otherwise the pre-IVM behaviour holds
+        and the FK-cascade closure of *mutated* is invalidated
+        wholesale.
         """
         if self._ivm_active():
             self.cache.maintain(self.db, self.db.deltas.take())

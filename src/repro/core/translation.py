@@ -18,6 +18,7 @@ Given an update that survived Steps 1–2, this module:
 
 from __future__ import annotations
 
+import datetime
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -32,6 +33,7 @@ from ..rdb.ivm import (
     IvmError,
     ivm_forced,
 )
+from ..rdb.optimizer import ConjunctInfo
 from ..rdb.plan import FromItem, OutputColumn, SelectPlan, execute_select
 from ..rdb.types import sql_literal
 from ..xml.nodes import XMLElement
@@ -72,10 +74,71 @@ class ProbeResult:
         )
 
 
+#: literal types whose ``hash`` agrees with ``==`` across every value
+#: the engine stores (``bool`` is an ``int``, ``datetime`` a ``date``),
+#: so a dict lookup on a row value is exactly ``Comparison``'s ``=``
+_GUARD_TYPES = (int, float, str, datetime.date)
+
+
+def _guards(
+    plan: Optional[SelectPlan], read: frozenset[str]
+) -> dict[str, Optional[tuple[str, Any]]]:
+    """Each read relation's routing guard: the ``(column, value)`` of
+    the plan's first top-level ``rel.col = literal`` conjunct on it
+    (literal on either side, non-NULL, hash-exact), or ``None`` (every
+    event on the relation reaches the entry).  Plans with aliases or
+    repeated relations stay unguarded: a qualifier must name the
+    relation the delta events are keyed by."""
+    guards: dict[str, Optional[tuple[str, Any]]] = dict.fromkeys(sorted(read))
+    if plan is None or plan.where is None:
+        return guards
+    names = [item.name for item in plan.from_items]
+    if len(set(names)) != len(names) or any(
+        item.alias not in (None, item.relation_name) for item in plan.from_items
+    ):
+        return guards
+    for conjunct in plan.where.conjuncts():
+        for relation, column, other, other_relation in ConjunctInfo(conjunct).eq_sides:
+            if other_relation is not None:
+                continue  # a join condition, not a literal
+            value = other.value
+            if (
+                isinstance(value, _GUARD_TYPES)
+                and value == value  # NaN equals nothing
+                and relation in guards
+                and guards[relation] is None
+            ):
+                guards[relation] = (column, value)
+    return guards
+
+
+def _index_add(index: dict, path: tuple, key: tuple) -> None:
+    node = index
+    for step in path:
+        node = node.setdefault(step, {})
+    node[key] = None
+
+
+def _index_remove(index: dict, path: tuple, key: tuple) -> None:
+    """Remove *key* from the bucket at *path*, deleting the buckets it
+    leaves empty on the way back up."""
+    nodes = [index]
+    for step in path:
+        nodes.append(nodes[-1][step])
+    del nodes[-1][key]
+    for depth in range(len(path) - 1, -1, -1):
+        if nodes[depth + 1]:
+            break
+        del nodes[depth][path[depth]]
+
+
 class _CacheEntry:
     """One cached probe plus what it takes to keep it current."""
 
-    __slots__ = ("probe", "read", "plan", "born_seq", "view", "no_view")
+    __slots__ = (
+        "probe", "read", "plan", "born_seq", "view", "no_view",
+        "guards", "hot", "slots",
+    )
 
     def __init__(
         self,
@@ -83,6 +146,7 @@ class _CacheEntry:
         read: frozenset[str],
         plan: Optional[SelectPlan],
         born_seq: int,
+        hot: bool,
     ) -> None:
         self.probe = probe
         self.read = read
@@ -93,6 +157,12 @@ class _CacheEntry:
         self.view: Optional[IncrementalView] = None
         #: the maintenance compiler declined this plan — don't retry
         self.no_view = plan is None
+        #: relation -> (column, literal) routing guard, or None
+        self.guards = _guards(plan, read)
+        #: requested at least twice: maintained rather than dropped
+        self.hot = hot
+        #: (index, path) buckets the entry is registered in
+        self.slots: list[tuple[dict, tuple]] = []
 
 
 class ProbeCache:
@@ -108,23 +178,42 @@ class ProbeCache:
     the plan that produced it.  Mutations reach the cache one of two
     ways: :meth:`invalidate` drops the entries whose read set
     intersects the mutated relations (the recompute path), while
-    :meth:`maintain` streams DML delta events into each entry through
-    :class:`~repro.rdb.ivm.IncrementalView` — falling back to a drop
-    (counted in ``db.stats['ivm_fallbacks']``) on bulk markers,
-    unsupported plans, deltas over ``db.ivm_threshold``, or **cold
-    entries**: maintenance is reserved for keys requested more than
-    once, so the one-shot key probes a write stream leaves behind are
-    dropped at their first delta instead of being maintained forever
-    (per-drain work would otherwise grow with every update ever run
-    through the session).
+    :meth:`maintain` streams DML delta events into the entries they can
+    reach through :class:`~repro.rdb.ivm.IncrementalView` — falling back
+    to a drop (counted in ``db.stats['ivm_fallbacks']``) on bulk
+    markers, unsupported plans, routed deltas over ``db.ivm_threshold``,
+    or **cold entries**: maintenance is reserved for keys requested more
+    than once, so the one-shot key probes a write stream leaves behind
+    are dropped at their first delta on any relation they read instead
+    of being maintained forever (per-drain work would otherwise grow
+    with every update ever run through the session).
+
+    Delta events are **routed**, not broadcast.  Per relation it reads,
+    a hot entry is indexed under the *guard* of that relation — the
+    first top-level ``rel.col = literal`` conjunct of its plan — or, if
+    there is none, as unguarded.  A row event reaches the unguarded
+    entries of its relation plus the entries whose guard value equals
+    its old or new image's guard column (a dict lookup, the same
+    equality ``Comparison`` evaluates); a bulk marker reaches every
+    entry reading the relation.  Cold entries are indexed as unguarded
+    on every relation they read — any event there reaches, and drops,
+    them — until their second :meth:`get` promotes them.
     """
 
     #: past this many distinct requested keys, forget the cold ones
-    REQUEST_CAP = 65536
+    REQUEST_CAP = 4096
 
     def __init__(self) -> None:
         self._entries: dict[tuple, _CacheEntry] = {}
         self._requests: dict[tuple, int] = {}
+        #: the ledger size that triggers the next prune — at least
+        #: twice the hot keys the last prune kept, so pruning stays
+        #: amortised O(1) per get however many keys are hot
+        self._hot_floor = 0
+        #: relation -> cold entry keys, and hot ones without a guard on it
+        self._unguarded: dict[str, dict[tuple, None]] = {}
+        #: relation -> guard column -> guard value -> hot entry keys
+        self._guarded: dict[str, dict[str, dict[Any, dict[tuple, None]]]] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -177,15 +266,21 @@ class ProbeCache:
         return ("key", relation, tuple(sql_literal(value) for value in key_values))
 
     def get(self, key: tuple) -> Optional[ProbeResult]:
-        if len(self._requests) > self.REQUEST_CAP:
+        if len(self._requests) > max(self.REQUEST_CAP, self._hot_floor):
             self._requests = {
                 k: n for k, n in self._requests.items() if n >= 2
             }
-        self._requests[key] = self._requests.get(key, 0) + 1
+            self._hot_floor = 2 * len(self._requests)
+        count = self._requests.get(key, 0) + 1
+        self._requests[key] = count
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             return None
+        if count >= 2 and not entry.hot:
+            self._unregister(entry, key)
+            entry.hot = True
+            self._register(entry, key)
         self.hits += 1
         probe = entry.probe.copy()
         probe.rows_scanned = 0  # served from cache: no executor work
@@ -199,9 +294,31 @@ class ProbeCache:
         plan: Optional[SelectPlan] = None,
         born_seq: int = 0,
     ) -> None:
-        self._entries[key] = _CacheEntry(
-            probe.copy(), read_relations, plan, born_seq
+        if key in self._entries:
+            self._drop(key)
+        entry = _CacheEntry(
+            probe.copy(), read_relations, plan, born_seq,
+            hot=self._requests.get(key, 0) >= 2,
         )
+        self._entries[key] = entry
+        self._register(entry, key)
+
+    def _register(self, entry: _CacheEntry, key: tuple) -> None:
+        for relation, guard in entry.guards.items():
+            if not entry.hot or guard is None:
+                slot = (self._unguarded, (relation,))
+            else:
+                slot = (self._guarded, (relation, *guard))
+            _index_add(*slot, key)
+            entry.slots.append(slot)
+
+    def _unregister(self, entry: _CacheEntry, key: tuple) -> None:
+        for index, path in entry.slots:
+            _index_remove(index, path, key)
+        entry.slots.clear()
+
+    def _drop(self, key: tuple) -> None:
+        self._unregister(self._entries.pop(key), key)
 
     def invalidate(self, relations: set[str]) -> int:
         """Drop entries that read any of *relations*; returns the count."""
@@ -211,39 +328,79 @@ class ProbeCache:
             if entry.read & relations
         ]
         for key in stale:
-            del self._entries[key]
+            self._drop(key)
         self.invalidations += len(stale)
         return len(stale)
 
-    def maintain(self, db: Database, events: list[DeltaEvent]) -> int:
-        """Stream drained delta *events* into the affected entries.
+    def _route(self, events: list[DeltaEvent]) -> dict[tuple, list[DeltaEvent]]:
+        """The events each hot entry must absorb, in log order.
 
-        Each entry applies exactly the events newer than the state its
-        rows reflect.  Entries that cannot be maintained — bulk markers
-        in their delta, a plan the maintenance compiler declined, a
-        delta over ``db.ivm_threshold`` (unless ``REPRO_IVM=1`` forces
-        it), a multiplicity conflict, or a cold key (requested once:
-        no evidence it will ever be served again) — are dropped, which
-        makes the next probe recompute them.  Returns the entries
-        maintained.
+        Skipping an event is exact.  A skipped row event fails the
+        entry's guard ``rel.col = literal`` in both its images — a
+        single-relation conjunct, which ``compile_maintenance``
+        re-checks in two places: as an ``own`` conjunct of *rel*'s
+        delta rule (so the event itself would contribute no rows), and
+        as a binding or residual of *rel*'s level in every other rule.  Leaving it out of another event's
+        ``later`` list therefore changes no state-at-event candidate
+        that could match: the row it would unwind to fails the guard
+        either way, and a failing row is as good as an absent one.
+        """
+        routed: dict[tuple, list[DeltaEvent]] = {}
+
+        def reach(keys: dict[tuple, None], event: DeltaEvent) -> None:
+            for key in keys:
+                routed.setdefault(key, []).append(event)
+
+        for event in events:
+            relation = event.relation
+            unguarded = self._unguarded.get(relation)
+            if unguarded:
+                reach(unguarded, event)
+            by_column = self._guarded.get(relation)
+            if not by_column:
+                continue
+            for column, buckets in by_column.items():
+                if event.kind == BULK:
+                    for bucket in buckets.values():
+                        reach(bucket, event)
+                    continue
+                old = new = None
+                if event.old is not None:
+                    old = buckets.get(event.old.get(column))
+                    if old:
+                        reach(old, event)
+                if event.new is not None:
+                    new = buckets.get(event.new.get(column))
+                    if new and new is not old:
+                        reach(new, event)
+        return routed
+
+    def maintain(self, db: Database, events: list[DeltaEvent]) -> int:
+        """Stream drained delta *events* into the entries they reach.
+
+        Each hot entry applies exactly the routed events newer than the
+        state its rows reflect.  Entries that cannot be maintained —
+        bulk markers in their delta, a plan the maintenance compiler
+        declined, a routed delta over ``db.ivm_threshold`` (unless
+        ``REPRO_IVM=1`` forces it), or a multiplicity conflict — are
+        dropped, which makes the next probe recompute them; so is every
+        cold key (requested once: no evidence it will ever be served
+        again) at its first event on any relation it reads.  Returns
+        the entries maintained.
         """
         if not events:
             return 0
         forced = ivm_forced()
         maintained = 0
-        for key in list(self._entries):
+        for key, routed in self._route(events).items():
             entry = self._entries[key]
             relevant = [
-                event for event in events
-                if event.relation in entry.read
-                and event.seq > entry.born_seq
+                event for event in routed if event.seq > entry.born_seq
             ]
             if not relevant:
                 continue
-            drop = (
-                entry.no_view
-                or self._requests.get(key, 0) < 2
-                or any(event.kind == BULK for event in relevant)
+            drop = not entry.hot or entry.no_view or any(
+                event.kind == BULK for event in relevant
             )
             delta_rows = sum(
                 2 if event.kind == UPDATE else 1 for event in relevant
@@ -277,7 +434,7 @@ class ProbeCache:
                     db.stats["ivm_maintained"] += 1
                     db.stats["ivm_delta_rows"] += absorbed
             if drop:
-                del self._entries[key]
+                self._drop(key)
                 self.invalidations += 1
                 db.stats["ivm_fallbacks"] += 1
         return maintained
@@ -285,6 +442,9 @@ class ProbeCache:
     def clear(self) -> None:
         self._entries.clear()
         self._requests.clear()
+        self._hot_floor = 0
+        self._unguarded.clear()
+        self._guarded.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -33,11 +33,19 @@ those relations.  That is what makes a single drain of a multi-relation
 batch (insert a parent, then its child) count each new join result
 exactly once.
 
+The caller, :class:`~repro.core.translation.ProbeCache`, routes each
+event only to the cached results whose ``rel.col = literal`` guard its
+row images can satisfy; an event that fails such a single-relation
+conjunct contributes no rows here, because :func:`compile_maintenance`
+re-checks that conjunct both in the event's own rule and on its
+relation's level of every other rule.
+
 Fallbacks (counted in ``db.stats['ivm_fallbacks']``): bulk markers
 (rollback, DDL), plan shapes this compiler does not support
-(self-joins, aliases, unqualified column refs), deltas larger than
-``db.ivm_threshold``, and any multiplicity the maintained state cannot
-absorb (:class:`IvmError` — never wrong results, always a recompute).
+(self-joins, aliases, unqualified column refs), routed deltas larger
+than ``db.ivm_threshold``, and any multiplicity the maintained state
+cannot absorb (:class:`IvmError` — never wrong results, always a
+recompute).
 ``REPRO_IVM=0`` forces the old invalidate-and-recompute path;
 ``REPRO_IVM=1`` forces maintenance regardless of the threshold.
 """

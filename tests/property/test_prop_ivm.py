@@ -4,12 +4,15 @@ The central invariant: an :class:`~repro.rdb.ivm.IncrementalView` fed
 the delta log of an arbitrary DML stream renders **byte-identical**
 rows to re-running its plan from scratch — on both the optimized and
 the interpreted (``optimize=False``) executors — after every batch,
-through inserts, cascading deletes, updates, joins and DISTINCT.
+through inserts, cascading deletes, updates, joins and DISTINCT.  The
+same holds one level up, for a :class:`~repro.core.translation.ProbeCache`
+routing each delta only to the entries whose guard it can satisfy.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.translation import ProbeCache, ProbeResult
 from repro.errors import DatabaseError
 from repro.rdb import (
     Comparison,
@@ -44,6 +47,8 @@ operations = st.lists(
             book_ids,
             st.floats(min_value=1, max_value=99, allow_nan=False),
         ),
+        # prices the guarded probes below filter on
+        st.tuples(st.just("update_price"), book_ids, st.sampled_from([37.0, 48.0])),
         st.tuples(st.just("update_comment"), book_ids, review_ids),
     ),
     min_size=1,
@@ -179,3 +184,98 @@ def test_rolled_back_streams_leave_bulk_markers(ops):
         assert byte_rows(rebuilt.render()) == byte_rows(
             execute_select(db, rebuilt.plan)
         )
+
+
+def guarded_plan(kind, value):
+    """A probe shape whose first ``rel.col = literal`` conjunct guards
+    its routing (joins stay unguarded on the other relation)."""
+    if kind == "book":
+        return SelectPlan(
+            from_items=[FromItem("book")],
+            columns=None,
+            where=Comparison("=", col("book.bookid"), lit(value)),
+            include_rowids=True,
+        )
+    if kind == "price":
+        return SelectPlan(
+            from_items=[FromItem("book")],
+            columns=None,
+            where=Comparison("=", lit(value), col("book.price")),
+            include_rowids=True,
+        )
+    if kind == "reviews-of":
+        return SelectPlan(
+            from_items=[FromItem("book"), FromItem("review")],
+            columns=None,
+            where=conjoin(
+                [
+                    Comparison("=", col("book.bookid"), col("review.bookid")),
+                    Comparison("=", col("review.bookid"), lit(value)),
+                ]
+            ),
+            include_rowids=True,
+        )
+    if kind == "review":
+        return SelectPlan(
+            from_items=[FromItem("review")],
+            columns=[OutputColumn("bookid", "review")],
+            where=Comparison("=", col("review.reviewid"), lit(value)),
+        )
+    assert kind == "publisher"
+    return SelectPlan(
+        from_items=[FromItem("book"), FromItem("publisher")],
+        columns=[OutputColumn("pubname", "publisher")],
+        where=conjoin(
+            [
+                Comparison("=", col("book.pubid"), col("publisher.pubid")),
+                Comparison("=", col("book.pubid"), lit(value)),
+            ]
+        ),
+        distinct=True,
+    )
+
+
+guarded_probes = st.one_of(
+    st.tuples(st.just("book"), book_ids),
+    st.tuples(st.just("price"), st.sampled_from([37, 37.0, 48.0, 1.5])),
+    st.tuples(st.just("reviews-of"), book_ids),
+    st.tuples(st.just("review"), review_ids),
+    st.tuples(st.just("publisher"), publisher_ids),
+)
+
+
+@given(
+    probes=st.lists(st.tuples(guarded_probes, st.booleans()), max_size=12),
+    batches=st.lists(operations, min_size=1, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_routed_probe_cache_matches_recompute(probes, batches):
+    """Many guarded and unguarded entries in one cache, arbitrary DML
+    (cascading deletes included) drained through ``maintain``: every
+    entry still cached renders exactly what a fresh run returns."""
+    db = books.build_book_database()
+    db.deltas.enable()
+    cache = ProbeCache()
+    shapes = [(plan, True) for plan in plans()] + [
+        (guarded_plan(*probe), hot) for probe, hot in probes
+    ]
+    for number, (plan, hot) in enumerate(shapes):
+        key = ("context", number, False, ())
+        for _ in range(2 if hot else 1):
+            cache.get(key)
+        cache.put(
+            key,
+            ProbeResult(sql=plan.to_sql(), rows=execute_select(db, plan)),
+            frozenset(item.relation_name for item in plan.from_items),
+            plan=plan,
+            born_seq=db.deltas.seq,
+        )
+
+    for ops in batches:
+        apply_ops(db, ops)
+        cache.maintain(db, db.deltas.take())
+        for entry in cache._entries.values():
+            fresh = execute_select(db, entry.plan)
+            oracle = execute_select(db, entry.plan, optimize=False)
+            assert byte_rows(entry.probe.rows) == byte_rows(fresh)
+            assert byte_rows(entry.probe.rows) == byte_rows(oracle)

@@ -357,17 +357,52 @@ def run_insert(session, rid):
     )
 
 
-def run_chain_round(session, k):
-    """One streaming round against the chain view: a child insert
-    (reuses the hot parent-reading context probe) plus a parent insert
-    (the delta that hot probe must absorb next round)."""
+INSERT_PARENT_NAMED_A = """
+    FOR $root IN document("GenView.xml")
+    UPDATE $root {{
+    INSERT
+        <parent>
+            <pid>{pid}</pid>
+            <pname>a</pname>
+        </parent> }}
+"""
+
+DELETE_PARENT = """
+    FOR $root IN document("GenView.xml"),
+        $p IN $root/parent
+    WHERE $p/pid/text() = "{pid}"
+    UPDATE $root {{ DELETE $p }}
+"""
+
+
+def run_guarded_round(session, k):
+    """A child insert (served from the hot ``parent.pname = 'a'``
+    context probe), then a parent named "a" inserted and deleted again:
+    two deltas that reach that probe's guard, leaving the data as the
+    round found it."""
     return session.execute(
         [
             chains.STREAM_INSERT_CHILD.format(cid=f"CX{k:03d}", num=k),
-            chains.STREAM_INSERT_PARENT.format(pid=f"PX{k:03d}"),
+            INSERT_PARENT_NAMED_A.format(pid=f"PA{k:03d}"),
+            DELETE_PARENT.format(pid=f"PA{k:03d}"),
         ],
         mode="interleaved",
         atomic=False,
+    )
+
+
+def hot_context_entry(session):
+    (entry,) = [
+        entry for key, entry in session.cache._entries.items()
+        if key[0] == "context" and entry.hot
+        and entry.guards.get("parent") == ("pname", "a")
+    ]
+    return entry
+
+
+def assert_entry_current(db, entry):
+    assert byte_rows(entry.probe.rows) == byte_rows(
+        execute_select(db, entry.plan)
     )
 
 
@@ -375,10 +410,15 @@ def test_session_maintains_hot_probe_entries(monkeypatch):
     monkeypatch.delenv("REPRO_IVM", raising=False)
     db = chains.build_chain_db(seed_parents=4)
     session = UpdateSession(db, chains.CHAIN_VIEW, ivm=True)
-    run_chain_round(session, 0)  # context probe still cold here
-    run_chain_round(session, 1)  # second request: hot from now on
-    result = run_chain_round(session, 2)
+    run_guarded_round(session, 0)  # context probe still cold here
+    run_guarded_round(session, 1)  # second request: hot from now on
+    entry = hot_context_entry(session)
+    result = run_guarded_round(session, 2)
     assert result.ivm_maintained > 0
+    assert all(e.status == "applied" for e in result.entries)
+    # the same entry absorbed the deltas: still cached, still current
+    assert hot_context_entry(session) is entry
+    assert_entry_current(db, entry)
     stats = db.stats
     assert stats["ivm_maintained"] > 0
     assert stats["ivm_delta_rows"] >= stats["ivm_maintained"]
@@ -388,12 +428,20 @@ def test_threshold_falls_back_to_recompute(monkeypatch):
     monkeypatch.delenv("REPRO_IVM", raising=False)
     assert ivm_forced() is None
     db = chains.build_chain_db(seed_parents=4)
-    db.ivm_threshold = 0  # any delta is "too large"
+    db.ivm_threshold = 0  # any routed delta is "too large"
     session = UpdateSession(db, chains.CHAIN_VIEW, ivm=True)
-    for k in range(3):
-        run_chain_round(session, k)
+    for k in range(2):
+        run_guarded_round(session, k)
+    fallbacks = db.stats["ivm_fallbacks"]
+    result = run_guarded_round(session, 2)
+    assert all(e.status == "applied" for e in result.entries)
+    # the child insert re-caches the (hot) context probe; the parent
+    # deltas that follow reach its guard, trip the threshold and drop
+    # it where the default threshold would have maintained it
+    with pytest.raises(ValueError):
+        hot_context_entry(session)
+    assert db.stats["ivm_fallbacks"] > fallbacks
     assert db.stats["ivm_maintained"] == 0
-    assert db.stats["ivm_fallbacks"] > 0
 
 
 def test_forced_maintenance_overrides_threshold(monkeypatch):
@@ -402,9 +450,14 @@ def test_forced_maintenance_overrides_threshold(monkeypatch):
     db = chains.build_chain_db(seed_parents=4)
     db.ivm_threshold = 0
     session = UpdateSession(db, chains.CHAIN_VIEW)
-    for k in range(3):
-        run_chain_round(session, k)
-    assert db.stats["ivm_maintained"] > 0
+    for k in range(2):
+        run_guarded_round(session, k)
+    entry = hot_context_entry(session)
+    maintained = db.stats["ivm_maintained"]
+    run_guarded_round(session, 2)
+    assert db.stats["ivm_maintained"] > maintained
+    assert hot_context_entry(session) is entry
+    assert_entry_current(db, entry)
 
 
 def test_forced_off_invalidates(book_db, monkeypatch):

@@ -350,6 +350,7 @@ class VersionBumpOnMutation(Rule):
             dotted_name(call.func)
             in (
                 "self.schema.add_relation",
+                "self.schema.drop_relation",
                 "self.schema.relations.pop",
                 "self.tables.pop",
                 "self.indexes.pop",

@@ -31,7 +31,7 @@ in :mod:`repro.rdb.plan`; the negative result is cached too.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
 from .columnar import ColumnBatch
 from .expr import (
@@ -1712,6 +1712,12 @@ class PlanCache:
     the cardinalities that justified the order are declared stale and
     the plan recompiles against fresh statistics.  ``compiled=None``
     entries remember that a shape must run interpreted.
+
+    A rollback advances the data versions like any DML, but a completed
+    full rollback then calls :meth:`rebase`: it restored the begin-state
+    rows, so the stamps of entries compiled before ``begin()`` move past
+    it, and neither the transaction's changes nor their undo count as
+    drift.  A savepoint rollback's drift still counts.
     """
 
     def __init__(self, capacity: int = 256) -> None:
@@ -1772,6 +1778,34 @@ class PlanCache:
             },
             compiled,
         )
+
+    def rebase(self, mark: Mapping[str, int], now: Mapping[str, int]) -> None:
+        """Discount a fully rolled-back transaction's drift.
+
+        *mark* is ``db.data_versions`` at ``begin()``, *now* its value
+        once the replay completed.  An entry stamped at or before the
+        mark has its stamps shifted by ``now - mark``, so it sees only
+        the drift it had at ``begin()``; one stamped after the mark was
+        compiled against in-transaction cardinalities and is dropped.
+        """
+        shift = {
+            relation: version - mark.get(relation, 0)
+            for relation, version in now.items()
+            if version != mark.get(relation, 0)
+        }
+        if not shift:
+            return
+        for signature, entry in list(self._entries.items()):
+            stamps = entry.data_versions
+            touched = [relation for relation in stamps if relation in shift]
+            if not touched:
+                continue
+            if any(stamps[relation] > mark.get(relation, 0) for relation in touched):
+                del self._entries[signature]
+                self.invalidations += 1
+                continue
+            for relation in touched:
+                stamps[relation] += shift[relation]
 
     def clear(self) -> None:
         self._entries.clear()

@@ -46,7 +46,7 @@ from .faults import FaultInjector
 from .index import HashIndex
 from .ivm import DeltaLog
 from .schema import Attribute, Relation, Schema
-from .statistics import StatisticsManager
+from .statistics import StatisticsManager, TableStatistics
 from .table import Table
 from .transactions import TransactionManager, UndoAction, UndoKind
 from .wal import WriteAheadLog, decode_row
@@ -200,6 +200,12 @@ class Database:
         #: set while an undo log replays so per-row version bumps can be
         #: coalesced into one bump per relation per rollback
         self._coalesce_versions = False
+        #: planner drift bookkeeping at :meth:`begin` (``data_versions``
+        #: and each statistics object's drift counter), handed back by a
+        #: completed full :meth:`rollback`; ``None`` outside a transaction
+        self._planner_mark: Optional[
+            tuple[dict[str, int], list[tuple[TableStatistics, int]]]
+        ] = None
         #: per-relation DDL counters (CREATE/DROP TABLE, CREATE INDEX) —
         #: compiled plans referencing stale schema objects are discarded,
         #: while temp-table churn leaves unrelated cached plans alone
@@ -334,7 +340,7 @@ class Database:
         relation = self.schema.relations.get(name)
         if relation is not None and not getattr(relation, "temp", False):
             self.fk_epoch += 1
-        self.schema.relations.pop(name, None)
+        self.schema.drop_relation(name)
         self.tables.pop(name, None)
         self.indexes.pop(name, None)
         self.statistics.forget(name)
@@ -604,6 +610,11 @@ class Database:
     def _bump_data_version(self, relation_name: str) -> None:
         if self._coalesce_versions:
             return  # one bump per relation per rollback (see _replay_undo)
+        if self._planner_mark is not None and not self.txn.active:
+            # a mutation outside the transaction (between an interrupted
+            # rollback and its resume): the rollback will not restore
+            # the begin-state, so it must not rebase the planner
+            self._planner_mark = None
         self.data_versions[relation_name] = (
             self.data_versions.get(relation_name, 0) + 1
         )
@@ -867,6 +878,7 @@ class Database:
 
     def begin(self) -> None:
         self.txn.begin()
+        self._planner_mark = (dict(self.data_versions), self.statistics.mark())
         if self.wal is not None:
             self._wal_txn = self.wal.begin_txn()
 
@@ -878,6 +890,7 @@ class Database:
         if self.wal is not None and self._wal_txn is not None:
             self.faults.hit("wal.commit")
         self.txn.commit()
+        self._planner_mark = None
         if self.wal is not None and self._wal_txn is not None:
             wal_txn, self._wal_txn = self._wal_txn, None
             self.wal.end_txn(wal_txn, "commit")
@@ -902,6 +915,24 @@ class Database:
         """
         log = self.txn.take_rollback_log()
         self._replay_undo(log, site="undo.rollback")
+        if self._planner_mark is not None:
+            # Why rebasing the planner is exact: the replay restored
+            # every relation to its multiset of rows at begin(), so each
+            # statistics object live since then has the same exact
+            # counters and build-time estimates as at begin(), and a plan
+            # compiled before begin() faces the same rows and statistics
+            # again — the optimizer would choose the same plan.  Only the
+            # drift counters still carry the transaction (once for each
+            # change, once for its undo); both are set back.
+            # data_versions never rewinds (column stores use it as a
+            # correctness stamp), so the plan-cache stamps move instead.
+            # Plans compiled inside the transaction saw in-transaction
+            # cardinalities and are dropped; statistics rebuilt inside it
+            # keep counting.
+            versions, statistics = self._planner_mark
+            self._planner_mark = None
+            self.plan_cache.rebase(versions, self.data_versions)
+            self.statistics.rebase(statistics)
         self.stats["rollbacks"] += 1
         if self.wal is not None and self._wal_txn is not None:
             wal_txn, self._wal_txn = self._wal_txn, None
@@ -938,9 +969,12 @@ class Database:
         statistics bookkeeping) per row mid-replay.  The per-row bumps
         are suspended and replaced by a single per-relation write once
         the replay completes — advancing the version by the number of
-        undone rows, so the re-planning threshold still sees the true
-        drift magnitude (a 10k-row rollback must not masquerade as one
-        statement of drift).
+        undone rows, so every version-stamped cache sees the true
+        magnitude (a 10k-row rollback must not masquerade as one
+        statement).  Whether the planner counts that as drift depends
+        on the caller: a savepoint rollback leaves it counted, while a
+        completed full :meth:`rollback` rebases the planner to its
+        :meth:`begin` state.
 
         Each action is applied *conditionally* (delete-if-present /
         restore-if-absent / set-old-values) and confirmed back to the
@@ -1033,6 +1067,7 @@ class Database:
             self._wal_txn = None
             self._replaying = False
             self._coalesce_versions = False
+            self._planner_mark = None
             incomplete = self.wal.incomplete_txns()
             report.pending_intents = self.wal.pending_intents()
             if incomplete:

@@ -170,6 +170,8 @@ class Schema:
 
     def __init__(self, relations: Iterable[Relation] = ()) -> None:
         self.relations: dict[str, Relation] = {}
+        #: foreign_keys_into memo, cleared whenever a relation comes or goes
+        self._fks_into: dict[str, tuple[ForeignKey, ...]] = {}
         for relation in relations:
             self.add_relation(relation)
         self._validate_foreign_keys()
@@ -178,6 +180,12 @@ class Schema:
         if relation.name in self.relations:
             raise SchemaError(f"duplicate relation {relation.name!r}")
         self.relations[relation.name] = relation
+        self._fks_into.clear()
+
+    def drop_relation(self, name: str) -> None:
+        """Forget relation *name* (a no-op when it is unknown)."""
+        self.relations.pop(name, None)
+        self._fks_into.clear()
 
     def _validate_foreign_keys(self) -> None:
         for relation in self.relations.values():
@@ -205,15 +213,18 @@ class Schema:
     def __iter__(self) -> Iterator[Relation]:
         return iter(self.relations.values())
 
-    def foreign_keys_into(self, name: str) -> list[ForeignKey]:
+    def foreign_keys_into(self, name: str) -> tuple[ForeignKey, ...]:
         """Foreign keys (of any relation) that reference relation *name*."""
-        self.relation(name)
-        out = []
-        for relation in self.relations.values():
-            for fk in relation.foreign_keys:
-                if fk.ref_relation == name:
-                    out.append(fk)
-        return out
+        fks = self._fks_into.get(name)
+        if fks is None:
+            self.relation(name)
+            fks = self._fks_into[name] = tuple(
+                fk
+                for relation in self.relations.values()
+                for fk in relation.foreign_keys
+                if fk.ref_relation == name
+            )
+        return fks
 
     def referencing_relations(self, name: str) -> set[str]:
         """Names of relations with a direct FK into *name*."""

@@ -26,7 +26,11 @@ Statistics are built lazily on first planner access and rebuilt lazily
 once the number of modifications since the last build exceeds a
 configurable **staleness threshold** (a fraction of the rows seen at
 build time).  DML between rebuilds only touches the O(1) incremental
-counters, so the write path stays cheap.
+counters, so the write path stays cheap.  A rollback's undo replay is
+DML like any other, but a completed full rollback restores the
+begin-state rows, so it hands each object live since ``begin()`` its
+drift counter back (:meth:`StatisticsManager.rebase`): a rolled-back
+transaction leaves no staleness behind.
 
 The same staleness philosophy governs the plan cache: instead of "any
 DML on a read relation recompiles", cached plans survive data drift
@@ -403,3 +407,19 @@ class StatisticsManager:
     def forget(self, relation_name: str) -> None:
         """Drop statistics (DROP TABLE, or a schema change that widens)."""
         self._tables.pop(relation_name, None)
+
+    # -- transaction rebase (see Database.rollback) --------------------------
+
+    def mark(self) -> list[tuple[TableStatistics, int]]:
+        """Each live statistics object with its drift counter, taken at
+        ``begin()`` so a full rollback can hand the drift back."""
+        return [(stats, stats.mods_since_build) for stats in self._tables.values()]
+
+    def rebase(self, mark: Sequence[tuple[TableStatistics, int]]) -> None:
+        """Restore ``mods_since_build`` of every object still live since
+        *mark*.  Its exact counters are already back at their marked
+        values (the replay undid every row), and its estimates predate
+        the transaction; an object rebuilt in between keeps counting."""
+        for stats, mods in mark:
+            if self._tables.get(stats.relation_name) is stats:
+                stats.mods_since_build = mods

@@ -174,6 +174,17 @@ def test_rep003_swallowing_handler_ok_off_apply_path():
     assert report.findings == []
 
 
+def test_rep004_unbumped_schema_drop_relation():
+    source = (
+        "class Database:\n"
+        "    def drop_table(self, name):\n"
+        "        self.schema.drop_relation(name)\n"
+    )
+    report = lint_source(source, rule_ids=["REP004"])
+    assert len(report.findings) == 1
+    assert "schema_versions" in report.findings[0].detail
+
+
 def test_rep005_transient_names_are_accepted():
     source = (
         "def run(check, result, attempt):\n"

@@ -76,6 +76,27 @@ def test_foreign_keys_into(book_schema):
     assert len(fks) == 1 and fks[0].relation_name == "book"
 
 
+def test_foreign_keys_into_memo_follows_add_and_drop(book_schema):
+    assert book_schema.foreign_keys_into("publisher") is (
+        book_schema.foreign_keys_into("publisher")
+    )
+    book_schema.add_relation(
+        Relation(
+            "award",
+            [Attribute("pubid", "VARCHAR2(10)")],
+            [ForeignKey(("pubid",), "publisher", ("pubid",))],
+        )
+    )
+    assert {fk.relation_name for fk in book_schema.foreign_keys_into("publisher")} \
+        == {"book", "award"}
+    book_schema.drop_relation("award")
+    assert [fk.relation_name for fk in book_schema.foreign_keys_into("publisher")] \
+        == ["book"]
+    book_schema.drop_relation("award")  # unknown: a no-op
+    with pytest.raises(SchemaError):
+        book_schema.foreign_keys_into("award")
+
+
 def test_referencing_relations(book_schema):
     assert book_schema.referencing_relations("book") == {"review"}
 

@@ -8,17 +8,23 @@ from repro.rdb import (
     Attribute,
     Comparison,
     Database,
+    FaultInjectedError,
+    FaultPlan,
     FromItem,
     Integer,
+    OutputColumn,
     Relation,
     Schema,
     SelectPlan,
     col,
+    conjoin,
+    execute_select,
     lit,
     order_from_items,
 )
 from repro.rdb.optimizer import estimate_access
 from repro.rdb.statistics import ColumnStatistics, EquiDepthHistogram
+from repro.workloads import books
 
 
 def int_db(rows, relation_name="r", columns=("a", "b")):
@@ -257,3 +263,179 @@ def test_columnar_build_path_matches_scan_path():
         lh, rh = left.columns[column].histogram, right.columns[column].histogram
         assert (lh.fences if lh else None) == (rh.fences if rh else None)
         assert (lh.counts if lh else None) == (rh.counts if rh else None)
+
+
+# ---------------------------------------------------------------------------
+# a full rollback hands its drift back to the planner
+# ---------------------------------------------------------------------------
+
+#: publisher ⋈ book ⋈ review, projected (so both executors agree on order)
+JOIN_PLAN = SelectPlan(
+    from_items=[FromItem("publisher"), FromItem("book"), FromItem("review")],
+    columns=[
+        OutputColumn("pubname", "publisher"),
+        OutputColumn("title", "book"),
+        OutputColumn("reviewid", "review"),
+    ],
+    where=conjoin(
+        [
+            Comparison("=", col("book.pubid"), col("publisher.pubid")),
+            Comparison("=", col("review.bookid"), col("book.bookid")),
+        ]
+    ),
+)
+A01 = Comparison("=", col("publisher.pubid"), lit("A01"))
+
+
+def bulk_book_db():
+    """The book database plus 60 A01 books with one review each: a
+    cascaded delete of A01 moves far more rows than the re-planning and
+    statistics thresholds allow."""
+    db = books.build_book_database()
+    for i in range(60):
+        db.insert(
+            "book",
+            {"bookid": f"z{i}", "title": f"T{i}", "pubid": "A01", "price": 1.0},
+        )
+        db.insert(
+            "review",
+            {"bookid": f"z{i}", "reviewid": "001", "comment": "c",
+             "reviewer": "r"},
+        )
+    return db
+
+
+def planner_counters(db):
+    return db.stats["plans_compiled"], db.stats["stats_rebuilds"]
+
+
+def test_full_rollback_keeps_cached_plans_and_statistics():
+    db = bulk_book_db()
+    expected = execute_select(db, JOIN_PLAN)
+    counters = planner_counters(db)
+    hits = db.stats["plan_cache_hits"]
+    drift = {
+        name: db.statistics.peek(name).mods_since_build
+        for name in ("publisher", "book", "review")
+    }
+    db.begin()
+    assert db.delete_where("publisher", A01) == 125
+    db.rollback()
+    rows = execute_select(db, JOIN_PLAN)
+    assert db.stats["plan_cache_hits"] == hits + 1
+    assert planner_counters(db) == counters
+    assert {
+        name: db.statistics.peek(name).mods_since_build for name in drift
+    } == drift
+    assert rows == expected == execute_select(db, JOIN_PLAN, optimize=False)
+
+
+def test_committed_bulk_delete_still_recompiles():
+    db = bulk_book_db()
+    execute_select(db, JOIN_PLAN)
+    compiled, rebuilds = planner_counters(db)
+    db.begin()
+    db.delete_where("publisher", A01)
+    db.commit()
+    rows = execute_select(db, JOIN_PLAN)
+    assert db.stats["plans_compiled"] == compiled + 1
+    assert db.stats["stats_rebuilds"] > rebuilds
+    assert rows == execute_select(db, JOIN_PLAN, optimize=False)
+
+
+def test_statistics_rebuilt_inside_the_transaction_keep_counting():
+    db = bulk_book_db()
+    execute_select(db, JOIN_PLAN)
+    before = db.statistics.peek("book")
+    db.begin()
+    db.delete_where("publisher", A01)
+    execute_select(db, JOIN_PLAN)  # stale: rebuilds and recompiles
+    inside = db.statistics.peek("book")
+    assert inside is not before and inside.row_count == 1
+    invalidations = db.plan_cache.invalidations
+    db.rollback()
+    # not the object marked at begin(): the 62 restored rows count
+    assert db.statistics.peek("book") is inside
+    assert inside.row_count == 63 and inside.mods_since_build == 62
+    # the plan compiled against in-transaction cardinalities is dropped
+    assert db.plan_cache.invalidations == invalidations + 1
+    compiled = db.stats["plans_compiled"]
+    rows = execute_select(db, JOIN_PLAN)
+    assert db.stats["plans_compiled"] == compiled + 1
+    assert rows == execute_select(db, JOIN_PLAN, optimize=False)
+
+
+def test_interrupted_rollback_rebases_once_resumed():
+    db = bulk_book_db()
+    expected = execute_select(db, JOIN_PLAN)
+    counters = planner_counters(db)
+    db.begin()
+    db.delete_where("publisher", A01)
+    db.faults.arm(FaultPlan(at=40, site="undo.rollback", action="error"))
+    with pytest.raises(FaultInjectedError):
+        db.rollback()
+    assert db.txn.pending > 0
+    assert db.rollback() > 0  # the one-shot fault is spent: resume
+    assert execute_select(db, JOIN_PLAN) == expected
+    assert planner_counters(db) == counters
+    assert execute_select(db, JOIN_PLAN, optimize=False) == expected
+    assert db.verify_integrity() == []
+
+
+def test_query_between_interrupted_rollback_and_resume():
+    """A query between the failure and the resume sees the half-undone
+    state; its plan is stamped after the mark, so the resume drops it."""
+    db = bulk_book_db()
+    expected = execute_select(db, JOIN_PLAN)
+    db.begin()
+    db.delete_where("publisher", A01)
+    db.faults.arm(FaultPlan(at=40, site="undo.rollback", action="error"))
+    with pytest.raises(FaultInjectedError):
+        db.rollback()
+    assert execute_select(db, JOIN_PLAN) == execute_select(
+        db, JOIN_PLAN, optimize=False
+    )
+    invalidations = db.plan_cache.invalidations
+    db.rollback()
+    assert db.plan_cache.invalidations == invalidations + 1
+    assert execute_select(db, JOIN_PLAN) == expected
+    assert execute_select(db, JOIN_PLAN, optimize=False) == expected
+    assert db.verify_integrity() == []
+
+
+def test_dml_between_interrupted_rollback_and_resume_blocks_the_rebase():
+    """The resume does not undo DML made outside the transaction, so
+    the begin-state is not restored and the drift must stand."""
+    db = bulk_book_db()
+    execute_select(db, JOIN_PLAN)
+    compiled = db.stats["plans_compiled"]
+    drift = db.statistics.peek("book").mods_since_build
+    db.begin()
+    db.delete_where("publisher", A01)
+    db.faults.arm(FaultPlan(at=40, site="undo.rollback", action="error"))
+    with pytest.raises(FaultInjectedError):
+        db.rollback()
+    db.insert(
+        "book", {"bookid": "x1", "title": "X", "pubid": "B01", "price": 2.0}
+    )
+    db.rollback()
+    assert db.count("book") == 64
+    assert db.statistics.peek("book").mods_since_build > drift
+    rows = execute_select(db, JOIN_PLAN)
+    assert db.stats["plans_compiled"] == compiled + 1
+    assert rows == execute_select(db, JOIN_PLAN, optimize=False)
+    assert db.verify_integrity() == []
+
+
+def test_savepoint_rollback_still_counts_its_drift():
+    db = bulk_book_db()
+    execute_select(db, JOIN_PLAN)
+    compiled = db.stats["plans_compiled"]
+    db.begin()
+    mark = db.savepoint()
+    db.delete_where("publisher", A01)
+    db.rollback_to(mark)
+    rows = execute_select(db, JOIN_PLAN)
+    assert db.stats["plans_compiled"] == compiled + 1
+    assert rows == execute_select(db, JOIN_PLAN, optimize=False)
+    db.commit()

@@ -1,5 +1,5 @@
-"""Engine benchmark: Fig. 15/16 probe workloads across all three
-executors — interpreted, row-compiled and vectorized.
+"""Engine benchmark: Fig. 15/16 probe workloads under the interpreted
+and the row-compiled executor.
 
 Each workload composes a real probe query through the U-Filter pipeline
 (view ASG → Translator.probe_plan) over the TPC-H schema, or builds the
@@ -9,18 +9,14 @@ identical :class:`SelectPlan` under each executor:
 * **before** — ``execute_select(..., optimize=False)``: the pre-PR
   literal FROM-order nested loop with per-row ``Expr`` interpretation
   (run once; it exists as the oracle and the scan-count baseline);
-* **row_compiled** — ``REPRO_VECTORIZE=0``: join reordering, compiled
-  predicates, index probes and transient hash joins, closure-per-row;
-* **vectorized** — ``REPRO_VECTORIZE=1``: the same physical plan
-  lowered to batch operators over :class:`ColumnStore` arrays with
-  selection vectors.
+* **row_compiled** — ``execute_select(...)``: join reordering, compiled
+  predicates, index probes and transient hash joins, closure-per-row.
 
 The harness asserts **byte-identical** results (same rows, same key
-order, same row order) across every executor pair it runs, identical
-``rows_scanned`` between the two compiled executors (counter parity is
-an engine invariant), and a strict scan reduction versus the
-interpreted baseline on the probe workloads.  Aggregates land in
-``BENCH_engine.json`` — the perf trajectory later PRs must not regress.
+order, same row order) between the two executors wherever the oracle
+runs, and a strict scan reduction versus the interpreted baseline on
+the probe workloads.  Aggregates land in ``BENCH_engine.json`` — the
+perf trajectory later PRs must not regress.
 
 Run standalone (``python benchmarks/bench_engine_opt.py [--scale MB]``),
 via ``repro bench``, or let pytest pick up the quick smoke test below.
@@ -41,21 +37,17 @@ from repro.workloads import tpch
 from repro.xquery import parse_view_update
 
 try:
-    from .helpers import byte_rows, forced_executor
+    from .helpers import byte_rows
 except ImportError:  # running as a script: python benchmarks/bench_engine_opt.py
     import sys
 
     sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from helpers import byte_rows, forced_executor
+    from helpers import byte_rows
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 #: acceptance floor: aggregate scan reduction across the probe workloads
 MIN_SCAN_REDUCTION = 5.0
-#: acceptance floor: aggregate vectorized-over-row-compiled speedup on
-#: the scan/join-heavy workloads, enforced at scale >= VECTOR_GATE_MB
-MIN_VECTOR_SPEEDUP = 2.0
-VECTOR_GATE_MB = 10.0
 #: default scale/rounds of a full (non --quick) run
 DEFAULT_SCALE_MB = 50.0
 DEFAULT_ROUNDS = 3
@@ -87,12 +79,11 @@ def build_workloads(db, scale) -> list[dict]:
     """Workload specs re-creating the paper's probe shapes.
 
     ``expect_scan_reduction`` marks probe workloads where the optimizer
-    must beat the interpreted baseline's rows_scanned; ``vector_heavy``
-    marks the scan/join-bound shapes that feed the vector-speedup gate;
-    ``oracle=False`` skips the interpreted run entirely (the pure
-    nested-loop baseline is quadratic in the join inputs and would
-    dominate the harness at scale — identity is then asserted between
-    the two compiled executors).
+    must beat the interpreted baseline's rows_scanned; ``oracle=False``
+    skips the interpreted run entirely (the pure nested-loop baseline is
+    quadratic in the join inputs and would dominate the harness at
+    scale — tests/property/test_prop_plan_ir.py pins the hash-join
+    closures to the oracle instead).
     """
     linear = UFilter(db, tpch.v_linear())
     bush = UFilter(db, tpch.v_bush())
@@ -104,7 +95,6 @@ def build_workloads(db, scale) -> list[dict]:
                 linear, tpch.delete_by_key("lineitem", order_key)
             ),
             "expect_scan_reduction": True,
-            "vector_heavy": False,
         },
         {
             "label": "fig15-order-insert-context-probe",
@@ -112,17 +102,14 @@ def build_workloads(db, scale) -> list[dict]:
                 linear, tpch.insert_lineitem_update(order_key, 999)
             ),
             "expect_scan_reduction": True,
-            "vector_heavy": False,
         },
         {
             "label": "fig16-bush-order-delete-probe",
             "plan": _probe_for(bush, _bush_delete_order(order_key)),
             "expect_scan_reduction": True,
-            "vector_heavy": False,
         },
         # Fig. 15's internal-checking regime degenerates to full scans
-        # of lineitem with a literal filter — the pure scan+filter shape
-        # the vectorized executor exists for.  Both executors scan every
+        # of lineitem with a literal filter.  Both executors scan every
         # row, so no scan reduction is expected.
         {
             "label": "fig15-lineitem-quantity-scan",
@@ -133,7 +120,6 @@ def build_workloads(db, scale) -> list[dict]:
                 ),
             ),
             "expect_scan_reduction": False,
-            "vector_heavy": True,
         },
     ]
     # Fig. 16's outside strategy: the probe target and its context are
@@ -183,7 +169,6 @@ def build_workloads(db, scale) -> list[dict]:
                 ),
             ),
             "expect_scan_reduction": True,
-            "vector_heavy": True,
         }
     )
     workloads.append(
@@ -198,7 +183,6 @@ def build_workloads(db, scale) -> list[dict]:
                 ),
             ),
             "expect_scan_reduction": False,
-            "vector_heavy": True,
             "oracle": False,
         }
     )
@@ -229,31 +213,13 @@ def run_workload(db, spec: dict, rounds: int) -> dict:
         naive_seconds = time.perf_counter() - start
         naive_scanned = db.stats["rows_scanned"] - before
 
-    with forced_executor("0"):
-        before = db.stats["rows_scanned"]
-        row_image = byte_rows(execute_select(db, plan))
-        row_scanned = db.stats["rows_scanned"] - before
-        row_seconds = _timed(lambda: execute_select(db, plan), rounds)
+    before = db.stats["rows_scanned"]
+    row_image = byte_rows(execute_select(db, plan))
+    row_scanned = db.stats["rows_scanned"] - before
+    row_seconds = _timed(lambda: execute_select(db, plan), rounds)
 
-    with forced_executor("1"):
-        before = db.stats["rows_scanned"]
-        batches_before = db.stats["batches_processed"]
-        vector_image = byte_rows(execute_select(db, plan))
-        vector_scanned = db.stats["rows_scanned"] - before
-        vector_batches = db.stats["batches_processed"] - batches_before
-        vector_seconds = _timed(lambda: execute_select(db, plan), rounds)
-
-    if vector_image != row_image:
-        raise AssertionError(
-            f"{label}: vectorized result differs from row-compiled"
-        )
     if naive_image is not None and row_image != naive_image:
         raise AssertionError(f"{label}: compiled result differs from naive")
-    if vector_scanned != row_scanned:
-        raise AssertionError(
-            f"{label}: rows_scanned parity broken — vectorized counted "
-            f"{vector_scanned}, row-compiled counted {row_scanned}"
-        )
     if (
         spec["expect_scan_reduction"]
         and naive_scanned is not None
@@ -269,28 +235,21 @@ def run_workload(db, spec: dict, rounds: int) -> dict:
         "sql": plan.to_sql()[:160],
         "result_rows": len(row_image),
         "row_compiled": {"rows_scanned": row_scanned, "seconds": row_seconds},
-        "vectorized": {
-            "rows_scanned": vector_scanned,
-            "seconds": vector_seconds,
-            "batches": vector_batches,
-        },
-        "vector_speedup": round(row_seconds / max(vector_seconds, 1e-9), 2),
-        "vector_heavy": spec["vector_heavy"],
         "expect_scan_reduction": spec["expect_scan_reduction"],
-        "identical_results": True,
     }
     if naive_scanned is not None:
+        entry["identical_results"] = True
         entry["before"] = {
             "rows_scanned": naive_scanned, "seconds": naive_seconds,
         }
         entry["after"] = {
-            "rows_scanned": row_scanned, "seconds": vector_seconds,
+            "rows_scanned": row_scanned, "seconds": row_seconds,
         }
         entry["scan_reduction"] = round(
             naive_scanned / max(row_scanned, 1), 2
         )
         entry["speedup"] = round(
-            naive_seconds / max(vector_seconds, 1e-9), 2
+            naive_seconds / max(row_seconds, 1e-9), 2
         )
     return entry
 
@@ -314,9 +273,6 @@ def run_suite(megabytes: float, rounds: int = DEFAULT_ROUNDS) -> dict:
     before_total = sum(entry["before"]["rows_scanned"] for entry in probed)
     after_total = sum(entry["after"]["rows_scanned"] for entry in probed)
     reduction = before_total / max(after_total, 1)
-    heavy = [entry for entry in results if entry["vector_heavy"]]
-    heavy_row = sum(entry["row_compiled"]["seconds"] for entry in heavy)
-    heavy_vector = sum(entry["vectorized"]["seconds"] for entry in heavy)
     return {
         "benchmark": "engine executors (Fig. 15/16 probe workloads)",
         "db_size_mb": megabytes,
@@ -328,11 +284,6 @@ def run_suite(megabytes: float, rounds: int = DEFAULT_ROUNDS) -> dict:
             "after_rows_scanned": after_total,
             "scan_reduction": round(reduction, 2),
             "required_scan_reduction": MIN_SCAN_REDUCTION,
-            "vector_speedup": round(
-                heavy_row / max(heavy_vector, 1e-9), 2
-            ),
-            "required_vector_speedup": MIN_VECTOR_SPEEDUP,
-            "vector_gate_mb": VECTOR_GATE_MB,
         },
         "engine_stats": {
             key: db.stats[key]
@@ -341,13 +292,7 @@ def run_suite(megabytes: float, rounds: int = DEFAULT_ROUNDS) -> dict:
                 "plans_compiled", "plan_cache_hits", "reorders",
                 "bushy_plans", "stats_rebuilds", "rowid_plans_compiled",
                 "rowid_cache_hits", "replans_avoided",
-                "vectorized_plans", "batches_processed", "vector_fallbacks",
             )
-        },
-        "columnar": {
-            "store_builds": db.columns.builds,
-            "incremental_ops": db.columns.incremental_ops,
-            "sampled_stats_builds": db.statistics.sampled_builds,
         },
     }
 
@@ -387,19 +332,12 @@ def print_report(report: dict) -> None:
         print(
             f"  {entry['label']:38} {baseline} -> "
             f"{entry['row_compiled']['rows_scanned']:>7} rows scanned, "
-            f"row {entry['row_compiled']['seconds']*1000:9.2f} ms, "
-            f"vec {entry['vectorized']['seconds']*1000:9.2f} ms "
-            f"({entry['vector_speedup']}x)"
+            f"row {entry['row_compiled']['seconds']*1000:9.2f} ms"
         )
     aggregate = report["aggregate"]
     print(
         f"aggregate scan reduction: {aggregate['scan_reduction']}x "
         f"(required >= {aggregate['required_scan_reduction']}x)"
-    )
-    print(
-        f"aggregate vector speedup: {aggregate['vector_speedup']}x "
-        f"(required >= {aggregate['required_vector_speedup']}x at "
-        f">= {aggregate['vector_gate_mb']} MB)"
     )
 
 
@@ -410,14 +348,6 @@ def enforce_gates(report: dict) -> None:
             f"scan reduction {aggregate['scan_reduction']}x below the "
             f"required {MIN_SCAN_REDUCTION}x"
         )
-    if (
-        report["db_size_mb"] >= VECTOR_GATE_MB
-        and aggregate["vector_speedup"] < MIN_VECTOR_SPEEDUP
-    ):
-        raise SystemExit(
-            f"vector speedup {aggregate['vector_speedup']}x below the "
-            f"required {MIN_VECTOR_SPEEDUP}x at {report['db_size_mb']} MB"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -425,18 +355,20 @@ def enforce_gates(report: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def test_engine_opt_smoke():
-    """Tier-1 smoke: >=5x fewer rows scanned, identical results on all
-    three executors, counter parity between the compiled pair."""
+    """Tier-1 smoke: >=5x fewer rows scanned, identical results under
+    both executors wherever the oracle runs."""
     report = run_suite(0.5, rounds=1)
     assert report["aggregate"]["scan_reduction"] >= MIN_SCAN_REDUCTION
-    assert all(entry["identical_results"] for entry in report["workloads"])
+    assert all(
+        entry["identical_results"]
+        for entry in report["workloads"]
+        if "before" in entry
+    )
     assert all(
         entry["after"]["rows_scanned"] < entry["before"]["rows_scanned"]
         for entry in report["workloads"]
         if "before" in entry and entry["label"].endswith("probe")
     )
-    assert report["engine_stats"]["vectorized_plans"] > 0
-    assert report["engine_stats"]["batches_processed"] > 0
 
 
 def main(argv=None) -> None:

@@ -24,7 +24,6 @@ __all__ = [
     "blind_translate_and_execute",
     "byte_rows",
     "checked_translate_and_execute",
-    "forced_executor",
     "forced_ivm",
     "fresh_tpch",
     "timed",
@@ -82,36 +81,13 @@ def timed(fn: Callable[[], object]) -> float:
 
 
 @contextmanager
-def forced_executor(mode: Optional[str]):
-    """Pin the plan executor for the duration of the block.
-
-    ``"1"`` forces the vectorized batch executor, ``"0"`` forces the
-    row-at-a-time compiled executor, ``None`` restores the
-    estimate-driven default.  Restores the previous ``REPRO_VECTORIZE``
-    on exit, so measurement blocks can be nested or reordered freely.
-    """
-    previous = os.environ.get("REPRO_VECTORIZE")
-    if mode is None:
-        os.environ.pop("REPRO_VECTORIZE", None)
-    else:
-        os.environ["REPRO_VECTORIZE"] = mode
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_VECTORIZE", None)
-        else:
-            os.environ["REPRO_VECTORIZE"] = previous
-
-
-@contextmanager
 def forced_ivm(mode: Optional[str]):
     """Pin the probe-cache maintenance policy for the block.
 
     ``"1"`` forces delta maintenance regardless of delta size, ``"0"``
     forces the invalidate-and-recompute path, ``None`` restores the
     threshold-driven default.  Restores the previous ``REPRO_IVM`` on
-    exit, mirroring :func:`forced_executor`.
+    exit, so measurement blocks can be nested or reordered freely.
     """
     previous = os.environ.get("REPRO_IVM")
     if mode is None:

@@ -24,17 +24,8 @@ invariants:
   ``0 <= est <= input bound`` (child estimate for unary operators, the
   product of child estimates for joins).
 
-The vectorized compiler of :mod:`repro.rdb.compiled` lowers the same
-trees into a flat post-order *stage list* (scan / index_probe / filter /
-hash_join / fallback / finalize descriptors); :func:`verify_vector_plan`
-checks that lowering too — every FROM-item name produced exactly once,
-references only to already-produced names, registered relations and
-indexes, and a finalize stage agreeing with the tree's
-Project/Sort/Distinct contract.
-
 Armed via ``REPRO_PLAN_VERIFY=1``, :func:`verify_or_raise` runs as a
-debug hook on every lowering (and :func:`verify_vector_or_raise` on
-every vectorized compile) and raises
+debug hook on every lowering and raises
 :class:`repro.errors.PlanVerificationError` on any finding.
 ``repro lint --plans`` sweeps the verifier across the seeded scenario
 generator (:func:`sweep_plans`).
@@ -75,7 +66,6 @@ __all__ = [
     "CHECK_UNBOUND_COLUMN",
     "CHECK_UNKNOWN_COLUMN",
     "CHECK_UNKNOWN_RELATION",
-    "CHECK_VECTOR_STAGES",
     "PlanFinding",
     "PlanSweepReport",
     "plan_verify_enabled",
@@ -85,8 +75,6 @@ __all__ = [
     "verify_maintenance_plan",
     "verify_or_raise",
     "verify_plan",
-    "verify_vector_or_raise",
-    "verify_vector_plan",
 ]
 
 CHECK_SHAPE = "plan-shape"
@@ -97,7 +85,6 @@ CHECK_UNKNOWN_COLUMN = "plan-unknown-column"
 CHECK_KEY_ARITY = "plan-key-arity"
 CHECK_KEY_TYPES = "plan-key-type-mismatch"
 CHECK_ESTIMATE = "plan-estimate-bounds"
-CHECK_VECTOR_STAGES = "plan-vector-stages"
 CHECK_MAINTENANCE = "plan-maintenance"
 
 #: estimate comparisons tolerate float noise, not real violations
@@ -461,153 +448,6 @@ def verify_or_raise(
 def plan_verify_enabled() -> bool:
     """True iff the ``REPRO_PLAN_VERIFY`` debug hook is armed."""
     return os.environ.get("REPRO_PLAN_VERIFY", "") not in ("", "0")
-
-
-# ---------------------------------------------------------------------------
-# vectorized-lowering verification
-# ---------------------------------------------------------------------------
-
-def verify_vector_plan(
-    db: Database, root: PlanNode, plan: Any
-) -> list[PlanFinding]:
-    """Statically check a vectorized lowering's stage list.
-
-    *plan* is the :class:`repro.rdb.compiled.VectorizedPlan`; its
-    ``stages`` tuple is the post-order trace of the batch operators the
-    compiler emitted.  The invariants:
-
-    * the list ends with exactly one ``finalize`` stage;
-    * producing stages (scan / index_probe / fallback) bind every
-      FROM-item name exactly once, over registered relations and
-      indexes;
-    * consuming stages (filter / hash_join) reference only names
-      already produced, and a hash join's sides are disjoint;
-    * the finalize descriptor (projection mode, sort names, distinct)
-      matches the physical tree's Project/Sort/Distinct contract, and
-      the produced names cover the sort names exactly.
-    """
-    findings: list[PlanFinding] = []
-
-    def bad(detail: str) -> None:
-        findings.append(PlanFinding(CHECK_VECTOR_STAGES, detail))
-
-    stages = tuple(getattr(plan, "stages", ()) or ())
-    if not stages or stages[-1][0] != "finalize":
-        bad("stage list must end with a finalize stage")
-        return findings
-    if sum(1 for stage in stages if stage[0] == "finalize") != 1:
-        bad("stage list must contain exactly one finalize stage")
-        return findings
-
-    produced: set[str] = set()
-
-    def produce(name: str, stage_kind: str) -> None:
-        if name in produced:
-            bad(
-                f"{stage_kind} stage produces {name!r}, which an earlier "
-                f"stage already produced"
-            )
-        produced.add(name)
-
-    for stage in stages[:-1]:
-        kind = stage[0]
-        if kind == "scan":
-            _, name, relation_name = stage
-            if relation_name not in db.tables:
-                bad(f"scan stage reads unknown relation {relation_name!r}")
-            produce(name, "scan")
-        elif kind == "index_probe":
-            _, name, relation_name, index_name = stage
-            if relation_name not in db.tables:
-                bad(
-                    f"index_probe stage reads unknown relation "
-                    f"{relation_name!r}"
-                )
-            elif index_name not in {
-                index.name for index in db.indexes.get(relation_name, ())
-            }:
-                bad(
-                    f"index_probe stage references index {index_name!r}, "
-                    f"which is not registered for {relation_name!r}"
-                )
-            produce(name, "index_probe")
-        elif kind == "fallback":
-            _, names, _subtree_kind = stage
-            for name in names:
-                produce(name, "fallback")
-        elif kind == "filter":
-            _, names, predicate_count = stage
-            for name in names:
-                if name not in produced:
-                    bad(
-                        f"filter stage narrows {name!r} before any stage "
-                        f"produced it"
-                    )
-            if predicate_count < 1:
-                bad("filter stage carries no predicates")
-        elif kind == "hash_join":
-            _, outer_names, inner_names, key_count = stage
-            overlap = set(outer_names) & set(inner_names)
-            if overlap:
-                bad(
-                    f"hash_join stage binds {sorted(overlap)!r} on both "
-                    f"sides"
-                )
-            for name in tuple(outer_names) + tuple(inner_names):
-                if name not in produced:
-                    bad(
-                        f"hash_join stage joins {name!r} before any stage "
-                        f"produced it"
-                    )
-            if key_count < 1:
-                bad("hash_join stage carries no equi-join keys")
-        else:
-            bad(f"unknown stage kind {kind!r}")
-
-    node = root
-    distinct = isinstance(node, Distinct)
-    if distinct:
-        node = node.child
-    if not isinstance(node, Project) or not isinstance(node.child, Sort):
-        bad(
-            f"physical tree root is {type(root).__name__}; vectorized "
-            f"plans require the [Distinct] -> Project -> Sort shape"
-        )
-        return findings
-    _, mode, sort_names, stage_distinct = stages[-1]
-    if mode != node.mode:
-        bad(
-            f"finalize stage projects mode {mode!r}, the tree's Project "
-            f"uses {node.mode!r}"
-        )
-    if tuple(sort_names) != tuple(node.child.names):
-        bad(
-            f"finalize stage orders on {tuple(sort_names)!r}, the tree's "
-            f"Sort orders on {tuple(node.child.names)!r}"
-        )
-    if bool(stage_distinct) != distinct:
-        bad(
-            f"finalize stage distinct={bool(stage_distinct)!r} disagrees "
-            f"with the tree (distinct={distinct!r})"
-        )
-    if produced != set(node.child.names):
-        bad(
-            f"stages produce {sorted(produced)!r}, the Sort contract "
-            f"needs exactly {sorted(set(node.child.names))!r}"
-        )
-    return findings
-
-
-def verify_vector_or_raise(db: Database, root: PlanNode, plan: Any) -> None:
-    """The vectorized-compile debug hook: verify, count, raise."""
-    global _verified_plans
-    findings = verify_vector_plan(db, root, plan)
-    _verified_plans += 1
-    if findings:
-        raise PlanVerificationError(
-            [finding.describe() for finding in findings],
-            plan_text=getattr(plan, "explain_text", root.explain()),
-        )
 
 
 # ---------------------------------------------------------------------------

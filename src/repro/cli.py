@@ -24,9 +24,9 @@ Subcommands:
   :mod:`repro.analysis`) over the source tree, and with ``--plans``
   additionally sweep the plan-IR verifier across generated scenarios;
 * ``bench`` — run the engine executor benchmark (the Fig. 15/16 probe
-  workloads under the interpreted, row-compiled and vectorized
-  executors) at a chosen scale, writing the timing JSON and optionally
-  gating against a committed ``BENCH_engine.json``.
+  workloads under the interpreted and row-compiled executors) at a
+  chosen scale, writing the timing JSON and optionally gating against
+  a committed ``BENCH_engine.json``.
 
 Schemas/data are supplied as SQL scripts (CREATE TABLE + INSERT
 statements in the dialect of :mod:`repro.rdb.sql`), views and updates
@@ -249,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run the engine executor benchmark (Fig. 15/16 workloads)",
+        help="run the engine executor benchmark (Fig. 15/16 workloads, "
+        "interpreted vs row-compiled)",
     )
     bench.add_argument(
         "--streaming",

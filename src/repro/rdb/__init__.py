@@ -8,9 +8,7 @@ Public surface:
 * :class:`Database` — storage, DML, constraint enforcement, transactions
 * :class:`SelectPlan` / :func:`execute_select` — programmatic queries,
   executed through the cost-aware planner (:mod:`repro.rdb.optimizer`)
-  and one of two executors of :mod:`repro.rdb.compiled`: the row-at-a-
-  time compiled-predicate closures, or the vectorized batch operators
-  over the columnar mirrors of :mod:`repro.rdb.columnar`
+  and the compiled-predicate closures of :mod:`repro.rdb.compiled`
 * :class:`SQLEngine` and the parser — textual SQL subset
 * the expression algebra of :mod:`repro.rdb.expr`
 * the fault-tolerance layer — :class:`WriteAheadLog` journaling with
@@ -42,14 +40,7 @@ from .expr import (
     conjoin,
     lit,
 )
-from .columnar import ColumnBatch, ColumnStore, ColumnStoreManager
-from .compiled import (
-    CompiledPlan,
-    PlanCache,
-    RowidPlanCache,
-    VectorizedPlan,
-    compile_tree_vectorized,
-)
+from .compiled import CompiledPlan, PlanCache, RowidPlanCache
 from .faults import FaultInjectedError, FaultInjector, FaultPlan, SimulatedCrash
 from .index import HashIndex
 from .optimizer import enumerate_joins, order_from_items
@@ -75,12 +66,8 @@ __all__ = [
     "And",
     "Check",
     "col",
-    "ColumnBatch",
     "ColumnRef",
-    "ColumnStore",
-    "ColumnStoreManager",
     "Comparison",
-    "compile_tree_vectorized",
     "CompiledPlan",
     "conjoin",
     "Constraint",
@@ -130,6 +117,5 @@ __all__ = [
     "type_from_name",
     "Unique",
     "VarChar",
-    "VectorizedPlan",
     "WriteAheadLog",
 ]

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
-from .columnar import ColumnBatch
 from .expr import (
     COMPARATORS,
     And,
@@ -59,8 +58,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (plan -> compiled)
     )
 
 __all__ = ["CompiledPlan", "PlanCache", "RowidPlanCache", "Uncompilable",
-           "VectorizedPlan", "compile_tree", "compile_tree_vectorized",
-           "dedup_rows", "extract_where_params", "where_signature"]
+           "compile_tree", "dedup_rows", "extract_where_params",
+           "where_signature"]
 
 Row = dict[str, Any]
 Env = dict[str, Row]
@@ -320,11 +319,6 @@ RunFn = Callable[[_Ctx], None]
 
 class CompiledPlan:
     """One physical plan tree, compiled into nested closures."""
-
-    #: executor discriminator — :class:`VectorizedPlan` overrides this,
-    #: and the planner uses it to honor a forced executor choice against
-    #: a cached artifact compiled the other way
-    vectorized = False
 
     __slots__ = (
         "root_run", "leaf_relations", "hash_count", "mode", "distinct",
@@ -835,784 +829,6 @@ class _TreeCompiler:
             return row
 
         return with_rowids
-
-
-# ---------------------------------------------------------------------------
-# vectorized tree compilation (batch-at-a-time over column arrays)
-# ---------------------------------------------------------------------------
-
-class _VCtx:
-    """Per-execution state threaded through vectorized operators."""
-
-    __slots__ = ("db", "stats", "params")
-
-    def __init__(self, db: "Database", params: Params) -> None:
-        self.db = db
-        self.stats = db.stats
-        self.params = params
-
-
-BatchFn = Callable[[_VCtx], ColumnBatch]
-
-
-class VectorizedPlan:
-    """One physical plan tree, compiled to batch-at-a-time operators.
-
-    Same ``run(db, params)`` contract (and byte-identical results) as
-    :class:`CompiledPlan`; only SELECT projection modes are supported —
-    the rowid paths stay row-at-a-time, where one index probe is the
-    whole plan and batching has nothing to amortize.
-
-    ``stages`` is the post-order stage-descriptor tuple the plan-IR
-    verifier checks under ``REPRO_PLAN_VERIFY=1``; it is the vectorized
-    lowering's analogue of the physical tree.
-    """
-
-    vectorized = True
-
-    __slots__ = ("root_run", "mode", "distinct", "reordered", "bushy",
-                 "stages", "_explain_root", "_explain_text")
-
-    def __init__(
-        self,
-        root_run: Callable[[_VCtx], list],
-        mode: str,
-        distinct: bool,
-        reordered: bool,
-        bushy: bool,
-        stages: tuple,
-        explain_root: "PlanNode",
-    ) -> None:
-        self.root_run = root_run
-        self.mode = mode
-        self.distinct = distinct
-        self.reordered = reordered
-        self.bushy = bushy
-        self.stages = stages
-        self._explain_root = explain_root
-        self._explain_text: Optional[str] = None
-
-    @property
-    def explain_text(self) -> str:
-        if self._explain_text is None:
-            self._explain_text = (
-                "Vectorized (batch executor)\n" + self._explain_root.explain()
-            )
-        return self._explain_text
-
-    def run(self, db: "Database", params: Params) -> list:
-        return self.root_run(_VCtx(db, params))
-
-
-def compile_tree_vectorized(
-    db: "Database",
-    root: "PlanNode",
-    conjuncts: list[Expr],
-    reordered: bool = False,
-    bushy: bool = False,
-) -> Optional[VectorizedPlan]:
-    """Compile a physical tree to batch operators; None → not compilable.
-
-    Unsupported *subtrees* (nested loops, correlated index probes) do
-    not fail the compile — they run through the row-at-a-time closures
-    and surface their output as a batch.  The compiler therefore fails
-    exactly where :func:`compile_tree` fails (shared expression and
-    projection compilation), never on shape: within the SELECT planning
-    path, "vectorizable" and "compilable" are the same predicate, which
-    keeps a forced executor choice from ping-ponging against the cache.
-    """
-    try:
-        return _VectorCompiler(db, root, conjuncts, reordered, bushy).compile()
-    except Uncompilable:
-        return None
-
-
-class _VectorCompiler:
-    """Lowers a physical tree to :class:`ColumnBatch` operators.
-
-    Wraps a :class:`_TreeCompiler` for everything expression-shaped —
-    conjunct closures, parameter slots, projections — so both executors
-    agree on slot layout by construction, and so unsupported subtrees
-    can be handed to the row compiler wholesale.
-    """
-
-    def __init__(
-        self,
-        db: "Database",
-        root: "PlanNode",
-        conjuncts: list[Expr],
-        reordered: bool,
-        bushy: bool,
-    ) -> None:
-        self.db = db
-        self.root = root
-        self.row = _TreeCompiler(db, root, conjuncts, True, reordered, bushy)
-        #: post-order stage descriptors for the plan-IR verifier
-        self.stages: list[tuple] = []
-
-    def compile(self) -> VectorizedPlan:
-        node = self.root
-        distinct = False
-        if node.kind == "distinct":
-            distinct = True
-            node = node.child
-        if node.kind != "project":
-            raise Uncompilable(f"unexpected root {node.kind}")
-        project_node = node
-        sort_node = project_node.child
-        if sort_node.kind != "sort":
-            raise Uncompilable(f"unexpected project child {sort_node.kind}")
-        if project_node.mode == "rowid_list":
-            # single-probe plans: batching has nothing to amortize
-            raise Uncompilable("rowid-list plans stay row-at-a-time")
-        body_run = self._compile_node(sort_node.child)
-        projector = self._compile_vprojection(project_node)
-        sort_names = tuple(sort_node.names)
-        self.stages.append(
-            ("finalize", project_node.mode, sort_names, distinct)
-        )
-
-        if len(sort_names) == 1:
-            only = sort_names[0]
-
-            def order_of(batch: ColumnBatch) -> list[int]:
-                rowid_array = batch.rowids[only]
-                return sorted(batch.positions(), key=rowid_array.__getitem__)
-        else:
-            # lexicographic multi-key sort as a cascade of stable sorts
-            # (least-significant key first): every pass uses the C-level
-            # ``list.__getitem__`` key, which beats one sort with a
-            # tuple-building Python lambda
-            reversed_names = tuple(reversed(sort_names))
-
-            def order_of(batch: ColumnBatch) -> list[int]:
-                order = batch.positions()
-                for name in reversed_names:
-                    order = sorted(order, key=batch.rowids[name].__getitem__)
-                return order
-
-        def finalize(vctx: _VCtx) -> list:
-            batch = body_run(vctx)
-            vctx.stats["batches_processed"] += 1
-            rows = projector(batch, order_of(batch), vctx)
-            if distinct:
-                rows = dedup_rows(rows)
-            return rows
-
-        return VectorizedPlan(
-            root_run=finalize,
-            mode=project_node.mode,
-            distinct=distinct,
-            reordered=self.row.reordered,
-            bushy=self.row.bushy,
-            stages=tuple(self.stages),
-            explain_root=self.root,
-        )
-
-    # -- helpers -------------------------------------------------------------
-
-    def _resolve_column(self, ref: Expr) -> Optional[tuple[str, str]]:
-        """``(from-item name, column)`` of a ColumnRef, or None when the
-        reference is not a plain unambiguous column (generic fallback)."""
-        if not isinstance(ref, ColumnRef):
-            return None
-        qualifier, column = ref.qualifier, ref.column
-        columns_of = self.row.expr_compiler.columns_of
-        if qualifier is not None:
-            known = columns_of.get(qualifier)
-            if known is not None and column in known:
-                return qualifier, column
-            return None
-        candidates = [
-            name for name, columns in columns_of.items() if column in columns
-        ]
-        if len(candidates) == 1:
-            return candidates[0], column
-        return None
-
-    # -- node compilation ----------------------------------------------------
-
-    def _compile_node(self, node: "PlanNode") -> BatchFn:
-        kind = node.kind
-        if kind == "scan":
-            return self._compile_scan(node)
-        if kind == "index_probe":
-            probe = self._try_index_probe(node)
-            if probe is not None:
-                return probe
-            return self._fallback(node)
-        if kind == "filter":
-            return self._compile_filter(node)
-        if kind == "hash_join":
-            return self._compile_hash_join(node)
-        if kind == "nested_loop":
-            # correlated probing is inherently row-at-a-time — run the
-            # whole subtree through the row closures
-            return self._fallback(node)
-        raise Uncompilable(f"unknown plan node {kind}")
-
-    def _compile_scan(self, node: "Scan") -> BatchFn:
-        name = node.name
-        relation_name = node.relation_name
-        self.stages.append(("scan", name, relation_name))
-
-        def run(vctx: _VCtx) -> ColumnBatch:
-            store = vctx.db.columns.store(relation_name)
-            stats = vctx.stats
-            stats["rows_scanned"] += len(store.rowids)
-            stats["batches_processed"] += 1
-            return ColumnBatch(
-                names=(name,),
-                length=len(store.rowids),
-                rowids={name: store.rowids},
-                rows={name: store.rows},
-                stores={name: store},
-            )
-
-        return run
-
-    def _try_index_probe(self, node: "IndexProbe") -> Optional[BatchFn]:
-        """A leaf probe whose keys carry no column references (literal /
-        parameter keys) — one lookup produces the whole batch."""
-        if any(value.columns() for _conjunct, value in node.keys):
-            return None
-        name = node.name
-        relation_name = node.relation_name
-        index = node.index
-        key_fns = tuple(
-            self.row._side_fn(conjunct, value) for conjunct, value in node.keys
-        )
-        self.stages.append(("index_probe", name, relation_name, index.name))
-
-        def run(vctx: _VCtx) -> ColumnBatch:
-            stats = vctx.stats
-            stats["index_joins"] += 1
-            stats["batches_processed"] += 1
-            params = vctx.params
-            try:
-                key = tuple(fn({}, params) for fn in key_fns)
-                bucket = index.lookup_rowids(key)
-            except TypeError:  # unhashable probe value: no match
-                bucket = ()
-            table = vctx.db.table(relation_name)
-            present = table.__contains__
-            fetch = table.get
-            rowids: list[int] = []
-            rows: list[Row] = []
-            for rowid in bucket:
-                if not present(rowid):
-                    continue
-                rowids.append(rowid)
-                rows.append(fetch(rowid))
-            stats["rows_scanned"] += len(rowids)
-            return ColumnBatch(
-                names=(name,),
-                length=len(rowids),
-                rowids={name: rowids},
-                rows={name: rows},
-            )
-
-        return run
-
-    def _compile_filter(self, node: "Filter") -> BatchFn:
-        child = self._compile_node(node.child)
-        predicates = tuple(
-            self._compile_vpredicate(predicate)
-            for predicate in node.predicates
-        )
-        names = tuple(leaf.name for leaf in _leaf_nodes(node.child))
-        self.stages.append(("filter", names, len(node.predicates)))
-
-        def run(vctx: _VCtx) -> ColumnBatch:
-            batch = child(vctx)
-            vctx.stats["batches_processed"] += 1
-            for predicate in predicates:
-                if batch.sel is not None and not batch.sel:
-                    break  # already empty
-                batch.sel = predicate(batch, vctx)
-            return batch
-
-        return run
-
-    def _compile_vpredicate(
-        self, expr: Expr
-    ) -> Callable[[ColumnBatch, _VCtx], list[int]]:
-        """One conjunct as a selection-vector narrowing function.
-
-        Fast paths cover column-vs-value, column-vs-column and IS NULL
-        shapes (one list comprehension over the batch, no env dicts);
-        anything else evaluates the conjunct's row closure per selected
-        position.  Three-valued logic matches the row executor: only a
-        strict True survives, so a NULL operand filters the row.
-        """
-        compiled = self.row.conjunct_map[id(expr)]
-        if isinstance(expr, Comparison):
-            comparator = COMPARATORS[expr.op]
-            left = self._resolve_column(expr.left)
-            right = self._resolve_column(expr.right)
-            if left is not None and right is not None:
-                return _vpred_column_column(left, right, comparator)
-            if left is not None and not expr.right.columns():
-                return _vpred_column_value(
-                    left, compiled.right_fn, comparator, flipped=False
-                )
-            if right is not None and not expr.left.columns():
-                return _vpred_column_value(
-                    right, compiled.left_fn, comparator, flipped=True
-                )
-        elif isinstance(expr, IsNull):
-            target = self._resolve_column(expr.operand)
-            if target is not None:
-                return _vpred_is_null(target, expr.negate)
-        return _vpred_generic(compiled.fn)
-
-    def _compile_hash_join(self, node: "HashJoin") -> BatchFn:
-        outer_run = self._compile_node(node.outer)
-        inner_run = self._compile_node(node.inner)
-        outer_names = tuple(leaf.name for leaf in _leaf_nodes(node.outer))
-        inner_names = tuple(leaf.name for leaf in _leaf_nodes(node.inner))
-        outer_keys = tuple(
-            self._compile_varray(conjunct, outer)
-            for conjunct, outer, _inner in node.keys
-        )
-        inner_keys = tuple(
-            self._compile_varray(conjunct, inner)
-            for conjunct, _outer, inner in node.keys
-        )
-        single_key = len(node.keys) == 1
-        self.stages.append(
-            ("hash_join", outer_names, inner_names, len(node.keys))
-        )
-
-        def run(vctx: _VCtx) -> ColumnBatch:
-            outer_batch = outer_run(vctx)
-            stats = vctx.stats
-            stats["batches_processed"] += 1
-            outer_positions = outer_batch.positions()
-            out_outer: list[int] = []
-            out_inner: list[int] = []
-            inner_batch: Optional[ColumnBatch] = None
-            if len(outer_positions):
-                # row-executor parity: the build is lazy, so an empty
-                # probe side never builds (or counts) the hash table
-                stats["hash_joins"] += 1
-                inner_batch = inner_run(vctx)
-                build: dict = {}
-                if single_key:
-                    keys = inner_keys[0](inner_batch, vctx)
-                    get_bucket = build.get
-                    for i, key in _indexed(inner_batch.positions(), keys):
-                        if key is None:
-                            continue  # SQL equality: NULL never joins
-                        bucket = get_bucket(key)
-                        if bucket is None:
-                            # get-then-insert beats setdefault: no empty
-                            # list allocated per already-bucketed key
-                            build[key] = [i]
-                        else:
-                            bucket.append(i)
-                    probe_keys = outer_keys[0](outer_batch, vctx)
-                    extend_inner = out_inner.extend
-                    append_outer = out_outer.append
-                    extend_outer = out_outer.extend
-                    try:
-                        for i, key in _indexed(outer_positions, probe_keys):
-                            bucket = get_bucket(key)
-                            if bucket:
-                                extend_inner(bucket)
-                                if len(bucket) == 1:
-                                    append_outer(i)
-                                else:
-                                    extend_outer([i] * len(bucket))
-                    except TypeError:
-                        # an unhashable probe value matches nothing;
-                        # rerun carefully, skipping the offenders
-                        del out_outer[:], out_inner[:]
-                        for i in outer_positions:
-                            try:
-                                bucket = get_bucket(probe_keys[i], ())
-                            except TypeError:
-                                continue
-                            extend_inner(bucket)
-                            extend_outer([i] * len(bucket))
-                else:
-                    key_arrays = [fn(inner_batch, vctx) for fn in inner_keys]
-                    for i in inner_batch.positions():
-                        key = tuple(array[i] for array in key_arrays)
-                        if any(component is None for component in key):
-                            continue  # SQL equality: NULL never joins
-                        build.setdefault(key, []).append(i)
-                    probe_arrays = [fn(outer_batch, vctx) for fn in outer_keys]
-                    get_bucket = build.get
-                    extend_inner = out_inner.extend
-                    extend_outer = out_outer.extend
-                    try:
-                        for i in outer_positions:
-                            key = tuple(array[i] for array in probe_arrays)
-                            bucket = get_bucket(key)
-                            if bucket:
-                                extend_inner(bucket)
-                                extend_outer([i] * len(bucket))
-                    except TypeError:
-                        del out_outer[:], out_inner[:]
-                        for i in outer_positions:
-                            try:
-                                key = tuple(
-                                    array[i] for array in probe_arrays
-                                )
-                                bucket = get_bucket(key, ())
-                            except TypeError:
-                                continue
-                            extend_inner(bucket)
-                            extend_outer([i] * len(bucket))
-            stats["rows_scanned"] += len(out_outer)
-            rowids: dict = {}
-            rows: dict = {}
-            for name in outer_names:
-                source_rowids = outer_batch.rowids[name]
-                source_rows = outer_batch.rows[name]
-                rowids[name] = [source_rowids[i] for i in out_outer]
-                rows[name] = [source_rows[i] for i in out_outer]
-            for name in inner_names:
-                if inner_batch is None:
-                    rowids[name] = []
-                    rows[name] = []
-                else:
-                    source_rowids = inner_batch.rowids[name]
-                    source_rows = inner_batch.rows[name]
-                    rowids[name] = [source_rowids[j] for j in out_inner]
-                    rows[name] = [source_rows[j] for j in out_inner]
-            return ColumnBatch(
-                names=outer_names + inner_names,
-                length=len(out_outer),
-                rowids=rowids,
-                rows=rows,
-            )
-
-        return run
-
-    def _compile_varray(
-        self, conjunct: Expr, side: Expr
-    ) -> Callable[[ColumnBatch, _VCtx], list]:
-        """One side of an equi-join key as a full-length value array."""
-        resolved = self._resolve_column(side)
-        if resolved is not None:
-            name, column = resolved
-            return lambda batch, vctx: batch.column(name, column)
-        side_fn = self.row._side_fn(conjunct, side)
-
-        def generic(batch: ColumnBatch, vctx: _VCtx) -> list:
-            params = vctx.params
-            names = batch.names
-            rows = batch.rows
-            out = []
-            for i in range(batch.length):
-                env = {n: rows[n][i] for n in names}
-                out.append(side_fn(env, params))
-            return out
-
-        return generic
-
-    # -- fallback ------------------------------------------------------------
-
-    def _fallback(self, node: "PlanNode") -> BatchFn:
-        """Run *node*'s subtree through the row-at-a-time closures and
-        pivot the emitted rows into a batch."""
-        names = tuple(leaf.name for leaf in _leaf_nodes(node))
-        row_compiler = self.row
-
-        def collect(ctx: _Ctx) -> None:
-            rowids = ctx.rowids
-            env = ctx.env
-            ctx.results.append(
-                (
-                    tuple(rowids[name] for name in names),
-                    tuple(env[name] for name in names),
-                )
-            )
-
-        run_row = row_compiler._compile_node(node, collect)
-        self.stages.append(("fallback", names, node.kind))
-
-        def run(vctx: _VCtx) -> ColumnBatch:
-            vctx.stats["vector_fallbacks"] += 1
-            db = vctx.db
-            # hash_count is read late: later-compiled fallback subtrees
-            # may have grown it past this subtree's view at compile time
-            ctx = _Ctx(
-                vctx.stats,
-                vctx.params,
-                [db.table(relation) for relation in row_compiler.leaf_relations],
-                row_compiler.hash_count,
-            )
-            run_row(ctx)
-            results = ctx.results
-            rowids: dict = {name: [] for name in names}
-            rows: dict = {name: [] for name in names}
-            appenders = [
-                (rowids[name].append, rows[name].append) for name in names
-            ]
-            for rowid_tuple, row_tuple in results:
-                for k, (add_rowid, add_row) in enumerate(appenders):
-                    add_rowid(rowid_tuple[k])
-                    add_row(row_tuple[k])
-            return ColumnBatch(
-                names=names, length=len(results), rowids=rowids, rows=rows
-            )
-
-        return run
-
-    # -- projection ----------------------------------------------------------
-
-    def _compile_vprojection(
-        self, node: "Project"
-    ) -> Callable[[ColumnBatch, list[int], _VCtx], list[Row]]:
-        """Project ordered batch positions into output rows.
-
-        Key order matches the row executor exactly (projection entries
-        first, then ``<name>.ROWID`` keys in FROM order) so results stay
-        byte-identical.
-        """
-        names = tuple(item.name for item in node.from_items)
-        mode = node.mode
-        if mode == "rowids":
-            if len(names) == 1:
-                only = names[0]
-
-                def project_single(
-                    batch: ColumnBatch, order: list[int], vctx: _VCtx
-                ) -> list[Row]:
-                    rowid_array = batch.rowids[only]
-                    return [{"ROWID": rowid_array[i]} for i in order]
-
-                return project_single
-
-            assemble_rowids = _row_assembler(
-                tuple(f"{name}.ROWID" for name in names)
-            )
-
-            def project_rowids(
-                batch: ColumnBatch, order: list[int], vctx: _VCtx
-            ) -> list[Row]:
-                return assemble_rowids([
-                    [array[i] for i in order]
-                    for array in (batch.rowids[name] for name in names)
-                ])
-
-            return project_rowids
-
-        base: Optional[Callable[[ColumnBatch, list[int], _VCtx], list[Row]]]
-        base = None
-        if mode == "star":
-            entries: list[tuple[str, str, str]] = []
-            existing: set[str] = set()
-            for item in node.from_items:
-                for column in self.db.table(item.relation_name).columns:
-                    out_key = (
-                        column if column not in existing else f"{item.name}.{column}"
-                    )
-                    existing.add(out_key)
-                    entries.append((item.name, column, out_key))
-
-            assemble_star = _row_assembler(
-                tuple(key for _name, _column, key in entries)
-            )
-
-            def project_star(
-                batch: ColumnBatch, order: list[int], vctx: _VCtx
-            ) -> list[Row]:
-                # gather each output column along `order`, then assemble
-                # rows through the specialized dict-literal builder
-                return assemble_star([
-                    batch.gather(name, column, order)
-                    for name, column, _key in entries
-                ])
-
-            base = project_star
-        else:
-            resolved = [
-                (
-                    column.output_name,
-                    self._resolve_column(
-                        ColumnRef(column.column, column.qualifier)
-                    ),
-                )
-                for column in node.columns
-            ]
-            # non-empty guard: zip(*[]) would yield no rows, not empty rows
-            if resolved and all(target is not None for _label, target in resolved):
-                assemble_columns = _row_assembler(
-                    tuple(label for label, _target in resolved)
-                )
-
-                def project_columns(
-                    batch: ColumnBatch, order: list[int], vctx: _VCtx
-                ) -> list[Row]:
-                    return assemble_columns([
-                        batch.gather(name, column, order)
-                        for _label, (name, column) in resolved
-                    ])
-
-                base = project_columns
-
-        if base is None:
-            # ambiguous references: per-row env through the row
-            # compiler's projection (which already appends rowid keys)
-            project_row = self.row._compile_projection(node)
-
-            def project_generic(
-                batch: ColumnBatch, order: list[int], vctx: _VCtx
-            ) -> list[Row]:
-                params = vctx.params
-                batch_names = batch.names
-                rows = batch.rows
-                rowid_arrays = {
-                    name: batch.rowids[name] for name in batch_names
-                }
-                out = []
-                for i in order:
-                    env = {name: rows[name][i] for name in batch_names}
-                    rowids = {
-                        name: rowid_arrays[name][i] for name in batch_names
-                    }
-                    out.append(project_row(env, rowids, params))
-                return out
-
-            return project_generic
-        if not node.include_rowids:
-            return base
-        inner_base = base
-
-        def with_rowids(
-            batch: ColumnBatch, order: list[int], vctx: _VCtx
-        ) -> list[Row]:
-            out = inner_base(batch, order, vctx)
-            arrays = [(f"{name}.ROWID", batch.rowids[name]) for name in names]
-            for position, i in enumerate(order):
-                row = out[position]
-                for key, array in arrays:
-                    row[key] = array[i]
-            return out
-
-        return with_rowids
-
-
-# -- vector predicate fast paths (module-level, shared across plans) --------
-
-def _row_assembler(keys: tuple[str, ...]) -> Callable[[list], list]:
-    """Specialized gathered-columns → row-dicts assembler.
-
-    Generates ``[{'k0': v0, 'k1': v1, ...} for v0, v1, ... in
-    zip(*gathered)]`` for this exact key tuple: the dict-literal
-    BUILD_MAP opcode beats ``dict(zip(keys, values))``'s per-row
-    iterator by ~2x, and projection is the largest fixed cost of every
-    vectorized plan.  Keys come from the schema/plan and are
-    repr-escaped, never interpolated raw.
-    """
-    if len(keys) == 1:
-        only = keys[0]
-        return lambda gathered: [{only: value} for value in gathered[0]]
-    variables = [f"v{i}" for i in range(len(keys))]
-    items = ", ".join(
-        f"{key!r}: {var}" for key, var in zip(keys, variables)
-    )
-    heads = ", ".join(variables)
-    source = (
-        "def assemble(gathered):\n"
-        f"    return [{{{items}}} for {heads} in zip(*gathered)]\n"
-    )
-    namespace: dict[str, Any] = {}
-    exec(source, namespace)
-    return namespace["assemble"]
-
-
-def _indexed(positions, array):
-    """(position, array[position]) pairs; C-speed enumerate when the
-    selection covers the whole batch (positions() returned a range)."""
-    if type(positions) is range:
-        return enumerate(array)
-    return ((i, array[i]) for i in positions)
-
-
-def _vpred_column_value(
-    target: tuple[str, str],
-    value_fn: EvalFn,
-    comparator: Callable[[Any, Any], bool],
-    flipped: bool,
-) -> Callable[[ColumnBatch, _VCtx], list[int]]:
-    name, column = target
-
-    def run(batch: ColumnBatch, vctx: _VCtx) -> list[int]:
-        value = value_fn({}, vctx.params)
-        if value is None:
-            return []  # NULL comparison is unknown for every row
-        array = batch.column(name, column)
-        if flipped:
-            return [
-                i
-                for i in batch.positions()
-                if (x := array[i]) is not None and comparator(value, x)
-            ]
-        return [
-            i
-            for i in batch.positions()
-            if (x := array[i]) is not None and comparator(x, value)
-        ]
-
-    return run
-
-
-def _vpred_column_column(
-    left: tuple[str, str],
-    right: tuple[str, str],
-    comparator: Callable[[Any, Any], bool],
-) -> Callable[[ColumnBatch, _VCtx], list[int]]:
-    left_name, left_column = left
-    right_name, right_column = right
-
-    def run(batch: ColumnBatch, vctx: _VCtx) -> list[int]:
-        left_array = batch.column(left_name, left_column)
-        right_array = batch.column(right_name, right_column)
-        return [
-            i
-            for i in batch.positions()
-            if (x := left_array[i]) is not None
-            and (y := right_array[i]) is not None
-            and comparator(x, y)
-        ]
-
-    return run
-
-
-def _vpred_is_null(
-    target: tuple[str, str], negate: bool
-) -> Callable[[ColumnBatch, _VCtx], list[int]]:
-    name, column = target
-
-    def run(batch: ColumnBatch, vctx: _VCtx) -> list[int]:
-        array = batch.column(name, column)
-        if negate:
-            return [i for i in batch.positions() if array[i] is not None]
-        return [i for i in batch.positions() if array[i] is None]
-
-    return run
-
-
-def _vpred_generic(
-    fn: EvalFn,
-) -> Callable[[ColumnBatch, _VCtx], list[int]]:
-    def run(batch: ColumnBatch, vctx: _VCtx) -> list[int]:
-        params = vctx.params
-        names = batch.names
-        rows = batch.rows
-        out = []
-        for i in batch.positions():
-            env = {name: rows[name][i] for name in names}
-            if fn(env, params) is True:
-                out.append(i)
-        return out
-
-    return run
 
 
 # ---------------------------------------------------------------------------

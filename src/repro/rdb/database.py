@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..errors import (
@@ -39,7 +40,6 @@ from .compiled import (
     extract_where_params,
     where_signature,
 )
-from .columnar import ColumnStoreManager
 from .constraints import DeletePolicy, ForeignKey, PrimaryKey, Unique
 from .expr import ColumnRef, Comparison, Expr, Literal
 from .faults import FaultInjector
@@ -123,14 +123,8 @@ class Database:
             "bushy_plans": 0,
             #: crash recoveries performed (incomplete journal txns repaired)
             "recoveries": 0,
-            #: SELECT plans compiled by the vectorized (batch-at-a-time)
-            #: compiler — a subset of ``plans_compiled``
+            #: inert, always 0: perfbench/harness.py reads these two
             "vectorized_plans": 0,
-            #: vectorized operator activations (one batch through one
-            #: scan / probe / filter / join / finalize stage)
-            "batches_processed": 0,
-            #: vectorized-plan subtrees executed through the
-            #: row-at-a-time closures (per-subtree fallback activations)
             "vector_fallbacks": 0,
             #: cached probe results kept current by applying DML deltas
             #: (one maintenance pass per entry per drain)
@@ -165,12 +159,9 @@ class Database:
         #: per-relation statistics (row counts, distinct counts,
         #: equi-depth histograms, null fractions) feeding the planner
         self.statistics = StatisticsManager(self)
-        #: lazily built column-major mirrors of the row tables, feeding
-        #: the vectorized executor and sampled statistics builds
-        self.columns = ColumnStoreManager(self)
-        #: estimate-driven executor choice: a SELECT compiles vectorized
-        #: when the summed row count of its Scan leaves clears this (the
-        #: ``REPRO_VECTORIZE`` environment variable overrides per run)
+        #: inert, always 0: perfbench/harness.py reads ``columns.builds``
+        self.columns = SimpleNamespace(builds=0)
+        #: inert: perfbench/harness.py reads it as a knob
         self.vectorize_threshold = 512
         #: row-level DML event stream feeding incremental probe
         #: maintenance (:mod:`repro.rdb.ivm`); recording starts when a
@@ -344,7 +335,6 @@ class Database:
         self.tables.pop(name, None)
         self.indexes.pop(name, None)
         self.statistics.forget(name)
-        self.columns.forget(name)
         self._bump_schema_version(name)
 
     def _bump_schema_version(self, relation_name: str) -> None:
@@ -658,7 +648,6 @@ class Database:
             table.restore_row(rowid, row)
         stored = table.get(rowid)
         self.statistics.on_insert(relation_name, stored)
-        self.columns.on_insert(relation_name, rowid, stored)
         for index in self.indexes[relation_name]:
             index.add(rowid, stored)
         # recorded only once the mutation fully landed: a fault above
@@ -676,7 +665,6 @@ class Database:
         )
         removed = table.delete_row(rowid)
         self.statistics.on_delete(relation_name, removed)
-        self.columns.on_delete(relation_name, rowid)
         for index in self.indexes[relation_name]:
             index.remove(rowid, removed)
         if self.deltas.enabled and not self._replaying:
@@ -697,7 +685,6 @@ class Database:
         )
         old = table.update_row(rowid, changes)
         self.statistics.on_update(relation_name, old, changes)
-        self.columns.on_update(relation_name, rowid, dict(changes))
         current = table.get(rowid)
         for index in self.indexes[relation_name]:
             index.remove(rowid, old)
@@ -924,8 +911,8 @@ class Database:
             # again — the optimizer would choose the same plan.  Only the
             # drift counters still carry the transaction (once for each
             # change, once for its undo); both are set back.
-            # data_versions never rewinds (column stores use it as a
-            # correctness stamp), so the plan-cache stamps move instead.
+            # data_versions never rewinds (an equal version must mean
+            # unchanged data), so the plan-cache stamps move instead.
             # Plans compiled inside the transaction saw in-transaction
             # cardinalities and are dropped; statistics rebuilt inside it
             # keep counting.
@@ -1083,7 +1070,6 @@ class Database:
                     for index in self.indexes.get(relation_name, ()):
                         index.rebuild(table)
                     self.statistics.forget(relation_name)
-                    self.columns.forget(relation_name)
                     self._bump_schema_version(relation_name)
                     self._bump_data_version(relation_name)
                 for txn_id in report.transactions:
@@ -1167,9 +1153,6 @@ class Database:
         * NOT NULL columns, scanning rows directly;
         * foreign-key closure, resolving parents by direct scan (an
           index lying about parents must not hide a dangling child);
-        * current-generation column-store mirrors (rowid/row arrays,
-          the position map, materialized column arrays) against the
-          row storage;
         * the exact statistics counters (``row_count``/``null_counts``)
           of every relation that has built statistics;
         * rowid allocation monotonicity (no stored rowid at or past the
@@ -1244,28 +1227,6 @@ class Database:
                             f"{relation_name} rowid {rowid}: "
                             f"({', '.join(fk.columns)}) = {key!r} dangles "
                             f"(no parent in {fk.ref_relation})"
-                        )
-            store = self.columns.peek(relation_name)
-            if store is not None:
-                mirrored = dict(zip(store.rowids, store.rows))
-                if mirrored != rows:
-                    violations.append(
-                        f"{relation_name}: column store mirrors "
-                        f"{len(mirrored)} rows != {len(rows)} stored"
-                    )
-                if store._positions != {
-                    rowid: position
-                    for position, rowid in enumerate(store.rowids)
-                }:
-                    violations.append(
-                        f"{relation_name}: column store position map "
-                        f"disagrees with its rowid array"
-                    )
-                for column, values in store.columns.items():
-                    if values != [row[column] for row in store.rows]:
-                        violations.append(
-                            f"{relation_name}.{column}: materialized column "
-                            f"array diverges from the mirrored rows"
                         )
             cached = self.statistics.peek(relation_name)
             if cached is not None:

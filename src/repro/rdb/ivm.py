@@ -8,7 +8,7 @@ turns invalidation into maintenance:
 * :class:`DeltaLog` — a per-database stream of row-level DML events
   (+row / −row / update), recorded by the physical primitives of
   :class:`~repro.rdb.database.Database` right next to the statistics
-  and column-store hooks.  Savepoint rollbacks coalesce into one
+  hooks.  Savepoint rollbacks coalesce into one
   *bulk* marker per touched relation (exactly like the coalesced
   ``data_versions`` bumps), DDL records a bulk marker through
   ``_bump_schema_version``, and crash recovery discards the log

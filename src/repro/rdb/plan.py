@@ -41,13 +41,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from ..errors import SchemaError
-from .compiled import (
-    CompiledPlan,
-    VectorizedPlan,
-    compile_tree,
-    compile_tree_vectorized,
-    dedup_rows,
-)
+from .compiled import CompiledPlan, compile_tree, dedup_rows
 from .expr import ColumnRef, Comparison, Expr, IsNull, Literal, conjoin
 from .optimizer import (
     ConjunctInfo,
@@ -716,21 +710,9 @@ def _verify_lowered(
     verify_or_raise(db, root, expected_names)
 
 
-def _verify_vectorized(
-    db: Database, root: PlanNode, compiled: "VectorizedPlan"
-) -> None:
-    """Debug hook: statically verify a vectorized lowering's stage list
-    against its physical tree when ``REPRO_PLAN_VERIFY`` arms it."""
-    if os.environ.get("REPRO_PLAN_VERIFY", "") in ("", "0"):
-        return
-    from ..analysis.planlint import verify_vector_or_raise
-
-    verify_vector_or_raise(db, root, compiled)
-
-
 #: executor counters the planning path mutates — EXPLAIN must not
 _PLANNING_COUNTERS = ("plans_compiled", "plan_cache_hits", "reorders",
-                      "bushy_plans", "replans_avoided", "vectorized_plans")
+                      "bushy_plans", "replans_avoided")
 
 
 def explain_select(db: Database, plan: SelectPlan) -> str:
@@ -802,77 +784,38 @@ def execute_select(
     return _execute_interpreted(db, plan)
 
 
-def _vectorize_forced() -> Optional[bool]:
-    """The ``REPRO_VECTORIZE`` override: None (estimate-driven policy),
-    False (``"0"``: force row-at-a-time) or True (force vectorized)."""
-    value = os.environ.get("REPRO_VECTORIZE", "")
-    if value == "":
-        return None
-    return value != "0"
-
-
-def _scan_row_estimate(db: Database, node: PlanNode) -> int:
-    """Summed row counts of the Scan leaves — the executor-choice
-    estimate.  Index probes are excluded: they emit a bucket at a time,
-    so batching has little interpreter overhead to amortize there."""
-    if node.kind == "scan":
-        return len(db.table(node.relation_name))
-    if node.kind == "index_probe":
-        return 0
-    return sum(_scan_row_estimate(db, child) for child in node.children())
-
-
 def _plan(
     db: Database, plan: SelectPlan, logical: LogicalPlan
-) -> Optional[CompiledPlan | VectorizedPlan]:
-    """Cache lookup → (lower + compile) → cache store.
-
-    Executor choice happens here: when the Scan-leaf row estimate clears
-    ``db.vectorize_threshold`` (or ``REPRO_VECTORIZE=1`` forces it), the
-    shape compiles through the vectorized batch compiler, falling back
-    to the row-at-a-time closures when that declines.  A cached artifact
-    compiled the other way than a *forced* choice is recompiled (the
-    cache put overwrites); under the default policy a cache hit is
-    served as-is, whichever executor it compiled for.
-    """
-    forced = _vectorize_forced()
+) -> Optional[CompiledPlan]:
+    """Cache lookup → (lower + compile) → cache store."""
     entry = db.plan_cache.get(logical.signature, db)
     if entry is not None:
-        compiled = entry.compiled
-        if compiled is None or forced is None or compiled.vectorized == forced:
-            if compiled is not None:
-                db.stats["plan_cache_hits"] += 1
-            return compiled
+        if entry.compiled is not None:
+            db.stats["plan_cache_hits"] += 1
+        return entry.compiled
     root, tree = lower_select(db, logical)
     positions = tree.leaf_positions()
-    reordered = positions != sorted(positions)
-    bushy = tree.is_bushy()
-    if forced is not None:
-        vectorize = forced
-    else:
-        vectorize = _scan_row_estimate(db, root) >= db.vectorize_threshold
-    compiled = None
-    if vectorize:
-        compiled = compile_tree_vectorized(
-            db, root, logical.conjuncts, reordered=reordered, bushy=bushy
-        )
-        if compiled is not None:
-            _verify_vectorized(db, root, compiled)
-    if compiled is None:
-        compiled = compile_tree(
-            db, root, logical.conjuncts, reordered=reordered, bushy=bushy
-        )
+    compiled = compile_tree(
+        db,
+        root,
+        logical.conjuncts,
+        reordered=positions != sorted(positions),
+        bushy=tree.is_bushy(),
+    )
     relations = {item.relation_name for item in plan.from_items}
     db.plan_cache.put(logical.signature, db, compiled, relations)
     if compiled is not None:
         db.stats["plans_compiled"] += 1
-        if compiled.vectorized:
-            db.stats["vectorized_plans"] += 1
         if compiled.reordered:
             db.stats["reorders"] += 1
         if compiled.bushy:
             db.stats["bushy_plans"] += 1
     return compiled
+
+
+#: inert: perfbench/tracer.py looks this name up and wraps it; nothing
+#: in the engine calls it
+compile_tree_vectorized = None
 
 
 def _execute_interpreted(db: Database, plan: SelectPlan) -> list[Row]:

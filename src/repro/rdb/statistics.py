@@ -18,9 +18,6 @@ Above ``StatisticsManager.sample_rows`` values per column, distinct
 counts and histograms are built from a systematic sample (every step-th
 value) instead of the full value list — only the estimates sample; row
 counts and null counts stay exact (``verify_integrity`` audits them).
-When a fresh :class:`~repro.rdb.columnar.ColumnStore` mirrors the
-relation, builds read its cached column arrays instead of pivoting row
-dicts.
 
 Statistics are built lazily on first planner access and rebuilt lazily
 once the number of modifications since the last build exceeds a
@@ -350,30 +347,15 @@ class StatisticsManager:
     def _build(self, relation_name: str) -> TableStatistics:
         table = self.db.table(relation_name)
         stats = TableStatistics(relation_name, table.columns)
-        store = self.db.columns.peek(relation_name)
-        values_by_column: dict[str, list]
-        if store is not None:
-            # columnar fast path: reuse the store's cached value arrays
-            # instead of pivoting row dicts (and the materialization
-            # persists on the store for the next build).  Null counts
-            # come from a full array pass, so they stay exact;
-            # ColumnStatistics.build filters the Nones itself.
-            stats.row_count = len(store)
-            values_by_column = {}
-            for column in table.columns:
-                array = store.column(column)
-                stats.null_counts[column] = array.count(None)
-                values_by_column[column] = array
-        else:
-            values_by_column = {column: [] for column in table.columns}
-            for _, row in table.scan():
-                stats.row_count += 1
-                for column, bucket in values_by_column.items():
-                    value = row.get(column)
-                    if value is None:
-                        stats.null_counts[column] += 1
-                    else:
-                        bucket.append(value)
+        values_by_column: dict[str, list] = {column: [] for column in table.columns}
+        for _, row in table.scan():
+            stats.row_count += 1
+            for column, bucket in values_by_column.items():
+                value = row.get(column)
+                if value is None:
+                    stats.null_counts[column] += 1
+                else:
+                    bucket.append(value)
         if self.sample_rows and stats.row_count > self.sample_rows:
             self.sampled_builds += 1
         for column, values in values_by_column.items():

@@ -7,8 +7,6 @@ check.  The sweep smoke test runs the whole seeded scenario pipeline
 with ``REPRO_PLAN_VERIFY=1`` armed.
 """
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.analysis import planlint
@@ -20,18 +18,13 @@ from repro.analysis.planlint import (
     CHECK_UNBOUND_COLUMN,
     CHECK_UNKNOWN_COLUMN,
     CHECK_UNKNOWN_RELATION,
-    CHECK_VECTOR_STAGES,
     plan_verify_enabled,
     sweep_plans,
     verified_plan_count,
     verify_or_raise,
     verify_plan,
-    verify_vector_or_raise,
-    verify_vector_plan,
 )
 from repro.errors import PlanVerificationError
-from repro.rdb import Attribute, Database, Integer, Relation, Schema
-from repro.rdb.compiled import compile_tree_vectorized
 from repro.rdb.expr import ColumnRef, Comparison, Literal
 from repro.rdb.plan import (
     Distinct,
@@ -44,7 +37,6 @@ from repro.rdb.plan import (
     Scan,
     SelectPlan,
     Sort,
-    execute_select,
     lower_select,
 )
 from repro.workloads.books import build_book_database
@@ -241,176 +233,3 @@ def test_sweep_plans_smoke():
     assert report.to_dict()["ok"] is True
     # the sweep restores the environment it found
     assert not planlint.plan_verify_enabled()
-
-
-# ---------------------------------------------------------------------------
-# vector stage verification
-# ---------------------------------------------------------------------------
-
-def _two_table_db():
-    schema = Schema()
-    schema.add_relation(
-        Relation("t", [Attribute("a", Integer()), Attribute("b", Integer())])
-    )
-    schema.add_relation(
-        Relation("u", [Attribute("a", Integer()), Attribute("c", Integer())])
-    )
-    built = Database(schema)
-    for i in range(20):
-        built.insert("t", {"a": i, "b": i % 5})
-    for i in range(10):
-        built.insert("u", {"a": i * 2, "c": i % 3})
-    return built
-
-
-def _vectorized(built, plan):
-    logical = LogicalPlan.build(plan)
-    assert logical is not None
-    node, _tree = lower_select(built, logical)
-    compiled = compile_tree_vectorized(built, node, logical.conjuncts)
-    assert compiled is not None
-    return node, compiled
-
-
-def _hash_join_case():
-    built = _two_table_db()
-    plan = SelectPlan(
-        from_items=[FromItem("t"), FromItem("u")],
-        where=Comparison("=", ColumnRef("a", "t"), ColumnRef("a", "u")),
-    )
-    node, compiled = _vectorized(built, plan)
-    return built, node, compiled
-
-
-def _tampered(compiled, stages):
-    return SimpleNamespace(
-        stages=tuple(stages), explain_text=compiled.explain_text
-    )
-
-
-def test_compiled_vector_plan_is_clean():
-    built, node, compiled = _hash_join_case()
-    kinds = [stage[0] for stage in compiled.stages]
-    assert "hash_join" in kinds  # exercising the consuming-stage rules
-    assert verify_vector_plan(built, node, compiled) == []
-
-
-def test_vector_fallback_stages_are_clean(db):
-    # the index-nested-loop join over books runs via a fallback stage
-    plan = SelectPlan(
-        from_items=[FromItem("book"), FromItem("publisher")],
-        where=Comparison("=", ColumnRef("pubid", "book"),
-                         ColumnRef("pubid", "publisher")),
-    )
-    node, compiled = _vectorized(db, plan)
-    assert any(stage[0] == "fallback" for stage in compiled.stages)
-    assert verify_vector_plan(db, node, compiled) == []
-
-
-def test_vector_stages_must_end_with_finalize():
-    built, node, compiled = _hash_join_case()
-    bad = _tampered(compiled, compiled.stages[:-1])
-    findings = verify_vector_plan(built, node, bad)
-    assert checks(findings) == [CHECK_VECTOR_STAGES]
-    assert "finalize" in findings[0].detail
-
-
-def test_vector_duplicate_scan_name():
-    built, node, compiled = _hash_join_case()
-    first_scan = compiled.stages[0]
-    bad = _tampered(compiled, (first_scan,) + compiled.stages)
-    findings = verify_vector_plan(built, node, bad)
-    assert CHECK_VECTOR_STAGES in checks(findings)
-    assert any("already produced" in f.detail for f in findings)
-
-
-def test_vector_scan_over_unknown_relation():
-    built, node, compiled = _hash_join_case()
-    stages = (("scan", "ghost", "no_such_relation"),) + compiled.stages
-    findings = verify_vector_plan(built, node, _tampered(compiled, stages))
-    assert any("unknown relation" in f.detail for f in findings)
-
-
-def test_vector_index_probe_over_unregistered_index():
-    built, node, compiled = _hash_join_case()
-    stages = (("index_probe", "ghost", "t", "no_such_index"),) + compiled.stages
-    findings = verify_vector_plan(built, node, _tampered(compiled, stages))
-    assert any("not registered" in f.detail for f in findings)
-
-
-def test_vector_filter_before_any_producer():
-    built, node, compiled = _hash_join_case()
-    stages = (("filter", ("t",), 1),) + compiled.stages
-    findings = verify_vector_plan(built, node, _tampered(compiled, stages))
-    assert any("before any stage produced" in f.detail for f in findings)
-
-
-def test_vector_hash_join_sides_must_be_disjoint():
-    built, node, compiled = _hash_join_case()
-    stages = tuple(
-        ("hash_join", ("t",), ("t", "u"), 1) if stage[0] == "hash_join"
-        else stage
-        for stage in compiled.stages
-    )
-    findings = verify_vector_plan(built, node, _tampered(compiled, stages))
-    assert any("both sides" in f.detail for f in findings)
-
-
-def test_vector_hash_join_needs_keys():
-    built, node, compiled = _hash_join_case()
-    stages = tuple(
-        stage[:3] + (0,) if stage[0] == "hash_join" else stage
-        for stage in compiled.stages
-    )
-    findings = verify_vector_plan(built, node, _tampered(compiled, stages))
-    assert any("equi-join keys" in f.detail for f in findings)
-
-
-def test_vector_finalize_must_match_the_tree():
-    built, node, compiled = _hash_join_case()
-    _, mode, sort_names, distinct = compiled.stages[-1]
-    assert mode == "star" and not distinct
-    stages = compiled.stages[:-1] + (
-        ("finalize", "rowids", tuple(reversed(sort_names)), True),
-    )
-    findings = verify_vector_plan(built, node, _tampered(compiled, stages))
-    details = " / ".join(f.detail for f in findings)
-    assert "projects mode" in details
-    assert "orders on" in details
-    assert "distinct" in details
-
-
-def test_vector_unknown_stage_kind():
-    built, node, compiled = _hash_join_case()
-    stages = (("teleport", ("t",)),) + compiled.stages
-    findings = verify_vector_plan(built, node, _tampered(compiled, stages))
-    assert any("unknown stage kind" in f.detail for f in findings)
-
-
-def test_verify_vector_or_raise_counts_and_raises():
-    built, node, compiled = _hash_join_case()
-    before = verified_plan_count()
-    verify_vector_or_raise(built, node, compiled)
-    assert verified_plan_count() == before + 1
-
-    bad = _tampered(compiled, compiled.stages[:-1])
-    with pytest.raises(PlanVerificationError) as excinfo:
-        verify_vector_or_raise(built, node, bad)
-    assert verified_plan_count() == before + 2
-    assert "Vectorized" in excinfo.value.plan_text
-    assert any(CHECK_VECTOR_STAGES in f for f in excinfo.value.findings)
-
-
-def test_env_hook_arms_the_vector_compile(monkeypatch):
-    built = _two_table_db()
-    built.vectorize_threshold = 1
-    plan = SelectPlan(
-        from_items=[FromItem("t"), FromItem("u")],
-        where=Comparison("=", ColumnRef("a", "t"), ColumnRef("a", "u")),
-    )
-    monkeypatch.setenv("REPRO_PLAN_VERIFY", "1")
-    before = verified_plan_count()
-    execute_select(built, plan)
-    assert built.stats["vectorized_plans"] == 1
-    # both the lowering and the vectorized compile went through the hook
-    assert verified_plan_count() >= before + 2

@@ -247,24 +247,6 @@ def test_manager_counts_sampled_builds_and_keeps_exact_counters():
     assert db.verify_integrity() == []
 
 
-def test_columnar_build_path_matches_scan_path():
-    rows = [{"a": i % 7, "b": None if i % 3 else i} for i in range(200)]
-    scanned = int_db(rows)
-    scanned.analyze("r")
-    mirrored = int_db(rows)
-    mirrored.columns.store("r")  # columnar fast path feeds the build
-    mirrored.analyze("r")
-    left = scanned.statistics.peek("r")
-    right = mirrored.statistics.peek("r")
-    assert left.row_count == right.row_count
-    assert left.null_counts == right.null_counts
-    for column in ("a", "b"):
-        assert left.columns[column].distinct == right.columns[column].distinct
-        lh, rh = left.columns[column].histogram, right.columns[column].histogram
-        assert (lh.fences if lh else None) == (rh.fences if rh else None)
-        assert (lh.counts if lh else None) == (rh.counts if rh else None)
-
-
 # ---------------------------------------------------------------------------
 # a full rollback hands its drift back to the planner
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import datetime
 import pytest
 
 from repro.errors import DatabaseError
-from repro.rdb import Database, FaultPlan, SimulatedCrash, WriteAheadLog
+from repro.rdb import FaultPlan, SimulatedCrash, WriteAheadLog
 from repro.rdb.wal import decode_row, encode_row
 from repro.workloads import books
 

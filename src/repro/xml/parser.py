@@ -16,6 +16,8 @@ from .nodes import XMLElement, XMLText
 __all__ = ["parse_xml"]
 
 _NAME = re.compile(r"[A-Za-z_][\w.\-]*")
+_SPACE = re.compile(r"\s*")
+_ENTITY = re.compile(r"&([^;&\s]+);")
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 
 
@@ -36,8 +38,7 @@ class _Scanner:
         return chunk
 
     def skip_whitespace(self) -> None:
-        while not self.eof() and self.text[self.position].isspace():
-            self.position += 1
+        self.position = _SPACE.match(self.text, self.position).end()
 
     def expect(self, literal: str) -> None:
         if not self.text.startswith(literal, self.position):
@@ -59,6 +60,9 @@ class _Scanner:
 
 
 def _decode_entities(raw: str) -> str:
+    if "&" not in raw:
+        return raw
+
     def replace(match: re.Match) -> str:
         body = match.group(1)
         try:
@@ -72,7 +76,7 @@ def _decode_entities(raw: str) -> str:
         # update fragments quote free text the paper never escapes
         return _ENTITIES.get(body, match.group(0))
 
-    return re.sub(r"&([^;&\s]+);", replace, raw)
+    return _ENTITY.sub(replace, raw)
 
 
 def parse_xml(text: str) -> XMLElement:
@@ -133,27 +137,29 @@ def _parse_element(scanner: _Scanner) -> XMLElement:
         scanner.position = end + 1
 
     node = XMLElement(tag, attributes=attributes)
-    buffer: list[str] = []
-
-    def flush_text() -> None:
-        if buffer:
-            content = _decode_entities("".join(buffer))
+    text = scanner.text
+    while True:
+        start = scanner.position
+        if start >= len(text):
+            raise scanner.error(f"unterminated element <{tag}>")
+        if text[start] != "<":
+            # a text run reaches the next markup (or the end of input,
+            # which the check above then reports)
+            end = text.find("<", start)
+            if end == -1:
+                end = len(text)
+            content = _decode_entities(text[start:end])
             if content:
                 node.append(XMLText(content))
-            buffer.clear()
-
-    while True:
-        if scanner.eof():
-            raise scanner.error(f"unterminated element <{tag}>")
-        if scanner.peek(4) == "<!--":
-            flush_text()
-            end = scanner.text.find("-->", scanner.position)
+            scanner.position = end
+            continue
+        if text.startswith("<!--", start):
+            end = text.find("-->", start)
             if end == -1:
                 raise scanner.error("unterminated comment")
             scanner.position = end + 3
             continue
-        if scanner.peek(2) == "</":
-            flush_text()
+        if text.startswith("</", start):
             scanner.advance(2)
             closing = scanner.read_name()
             if closing != tag:
@@ -163,8 +169,4 @@ def _parse_element(scanner: _Scanner) -> XMLElement:
             scanner.skip_whitespace()
             scanner.expect(">")
             return node
-        if scanner.peek() == "<":
-            flush_text()
-            node.append(_parse_element(scanner))
-            continue
-        buffer.append(scanner.advance())
+        node.append(_parse_element(scanner))

@@ -48,6 +48,17 @@ KEYWORDS = {
 }
 
 _NAME = re.compile(r"[A-Za-z_][\w.\-]*")
+_SPACE = re.compile(r"\s*")
+#: what closes a string opened by a curly double quote
+_CURLY_CLOSE = re.compile('[“”"]')
+_PUNCTUATION = {
+    "{": TokenKind.LBRACE,
+    "}": TokenKind.RBRACE,
+    "(": TokenKind.LPAREN,
+    ")": TokenKind.RPAREN,
+    ",": TokenKind.COMMA,
+    "/": TokenKind.SLASH,
+}
 
 
 @dataclass(frozen=True)
@@ -144,17 +155,15 @@ class Lexer:
     # -- scanning -------------------------------------------------------------
 
     def _skip_space(self) -> None:
-        text, n = self.text, len(self.text)
-        while self.position < n:
-            if text[self.position].isspace():
-                self.position += 1
-            elif text.startswith("(:", self.position):  # XQuery comment
-                end = text.find(":)", self.position + 2)
-                if end == -1:
-                    raise self.error("unterminated comment")
-                self.position = end + 2
-            else:
-                return
+        text = self.text
+        position = _SPACE.match(text, self.position).end()
+        while text.startswith("(:", position):  # XQuery comment
+            end = text.find(":)", position + 2)
+            if end == -1:
+                self.position = position
+                raise self.error("unterminated comment")
+            position = _SPACE.match(text, end + 2).end()
+        self.position = position
 
     def _scan(self) -> Token:
         self._skip_space()
@@ -176,7 +185,8 @@ class Lexer:
                 return Token(TokenKind.TAG_CLOSE, match.group(0), start)
             if nxt.isalpha() or nxt == "_":
                 match = _NAME.match(text, start + 1)
-                assert match is not None
+                if not match:  # a non-ASCII letter: not a tag name
+                    raise self.error("malformed tag", start)
                 end = match.end()
                 self._expect_char(end, ">")
                 self.position = end + 1
@@ -214,20 +224,16 @@ class Lexer:
             return Token(TokenKind.VAR, match.group(0), start)
 
         if ch in ("'", '"'):
-            # normalize curly quotes seen in the paper's listings
-            end = start + 1
-            while end < n and text[end] != ch:
-                end += 1
-            if end >= n:
+            end = text.find(ch, start + 1)
+            if end == -1:
                 raise self.error("unterminated string", start)
             self.position = end + 1
             return Token(TokenKind.STRING, text[start + 1:end], start)
-        if ch in ("“", "”"):  # curly double quotes
-            end = start + 1
-            while end < n and text[end] not in ("“", "”", '"'):
-                end += 1
-            if end >= n:
+        if ch in ("“", "”"):  # curly double quotes seen in the paper's listings
+            close = _CURLY_CLOSE.search(text, start + 1)
+            if close is None:
                 raise self.error("unterminated string", start)
+            end = close.start()
             self.position = end + 1
             return Token(TokenKind.STRING, text[start + 1:end], start)
 
@@ -245,24 +251,18 @@ class Lexer:
 
         if ch.isalpha() or ch == "_":
             match = _NAME.match(text, start)
-            assert match is not None
+            if not match:  # a non-ASCII letter: names are ASCII-led
+                raise self.error(f"unexpected character {ch!r}", start)
             word = match.group(0)
             self.position = match.end()
             if word.upper() in KEYWORDS:
                 return Token(TokenKind.KEYWORD, word, start)
             return Token(TokenKind.IDENT, word, start)
 
-        simple = {
-            "{": TokenKind.LBRACE,
-            "}": TokenKind.RBRACE,
-            "(": TokenKind.LPAREN,
-            ")": TokenKind.RPAREN,
-            ",": TokenKind.COMMA,
-            "/": TokenKind.SLASH,
-        }
-        if ch in simple:
+        kind = _PUNCTUATION.get(ch)
+        if kind is not None:
             self.position = start + 1
-            return Token(simple[ch], ch, start)
+            return Token(kind, ch, start)
         raise self.error(f"unexpected character {ch!r}", start)
 
     def _expect_char(self, index: int, expected: str) -> None:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import XMLError
 from repro.xml import element, parse_xml, serialize
+from repro.xml.nodes import XMLText
 
 
 def test_simple_document():
@@ -107,3 +108,32 @@ def test_deeply_nested_round_trip():
         cursor = child
     cursor.append("deep")
     assert parse_xml(serialize(node)).equals(node)
+
+
+def _tree(node):
+    if isinstance(node, XMLText):
+        return node.value
+    return (node.tag, node.attributes, [_tree(child) for child in node.children])
+
+
+def test_text_runs_pinned():
+    """Text runs are taken whole (up to the next ``<``); entities, comment
+    splits and trailing whitespace read as a per-character scan did."""
+    root = parse_xml("<a> x &amp; y<!-- c -->z &#65;<b/>\n</a>")
+    assert _tree(root) == ("a", {}, [" x & y", "z A", ("b", {}, []), "\n"])
+    root = parse_xml(' <a\tk = "v&lt;" >t</a >  ')
+    assert _tree(root) == ("a", {"k": "v<"}, ["t"])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("<a>text", "unterminated element <a> at offset 7"),
+        ("<a>x<!-- open", "unterminated comment at offset 4"),
+        ("<a>x</b>", "mismatched closing tag </b> for <a> at offset 7"),
+    ],
+)
+def test_error_messages_pinned(text, message):
+    with pytest.raises(XMLError) as caught:
+        parse_xml(text)
+    assert str(caught.value) == message

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import UpdateSyntaxError
+from repro.errors import ReproError, UpdateSyntaxError, XQueryError
 from repro.workloads import books
 from repro.xml import evaluate_path
 from repro.xquery import (
@@ -80,6 +80,35 @@ class TestParsing:
     def test_str_rendering(self):
         text = str(books.update("u2"))
         assert "DELETE $book/publisher" in text
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a path segment led by a non-ASCII letter
+            (
+                'FOR $r IN document("V.xml"), $x IN $r/\u00e9 '
+                "UPDATE $r { DELETE $x }",
+                "unexpected character '\u00e9' at offset 38",
+            ),
+            # an operand led by one
+            (
+                'FOR $r IN document("V.xml") WHERE $r/a < \u00e9 '
+                "UPDATE $r { DELETE $r }",
+                "unexpected character '\u00e9' at offset 41",
+            ),
+            # '<' before one reads as a tag open, which then has no name
+            (
+                'FOR $r IN document("V.xml") WHERE $r/a <\u00e9 '
+                "UPDATE $r { DELETE $r }",
+                "malformed tag at offset 39",
+            ),
+        ],
+    )
+    def test_non_ascii_letter_is_a_syntax_error(self, text, message):
+        with pytest.raises(XQueryError) as caught:
+            parse_view_update(text)
+        assert isinstance(caught.value, ReproError)
+        assert str(caught.value).startswith(message)
 
 
 class TestApplication:

@@ -127,3 +127,58 @@ class TestXQueryLexer:
     def test_unexpected_character(self):
         with pytest.raises(XQueryError):
             self.kinds("#")
+
+
+class TestLexerPinned:
+    """Tokens, positions and error messages, pinned: the lexer skips
+    space and finds string ends with regex/``str.find`` scans, and must
+    read every text exactly as a one-character-at-a-time scan did."""
+
+    MIXED = (
+        "FOR  (: a comment :)\t$r (:x:)(: y :) IN document(\"V.xml\") ,"
+        "\xa0$x IN $r/a\u2003WHERE $x/b <= “12” AND "
+        "$x/c != 'q\"r' UPDATE $r { DELETE $x }"
+    )
+
+    def scan(self, text):
+        lexer = Lexer(text)
+        out = []
+        while True:
+            token = lexer.next()
+            out.append((token.kind.name, token.value, token.position))
+            if token.kind is TokenKind.EOF:
+                return out
+
+    def test_mixed_text_tokens_and_positions(self):
+        assert self.scan(self.MIXED) == [
+            ("KEYWORD", "FOR", 0), ("VAR", "r", 21), ("KEYWORD", "IN", 37),
+            ("IDENT", "document", 40), ("LPAREN", "(", 48),
+            ("STRING", "V.xml", 49), ("RPAREN", ")", 56), ("COMMA", ",", 58),
+            ("VAR", "x", 60), ("KEYWORD", "IN", 63), ("VAR", "r", 66),
+            ("SLASH", "/", 68), ("IDENT", "a", 69), ("KEYWORD", "WHERE", 71),
+            ("VAR", "x", 77), ("SLASH", "/", 79), ("IDENT", "b", 80),
+            ("OP", "<=", 82), ("STRING", "12", 85), ("KEYWORD", "AND", 90),
+            ("VAR", "x", 94), ("SLASH", "/", 96), ("IDENT", "c", 97),
+            ("OP", "!=", 99), ("STRING", 'q"r', 102), ("KEYWORD", "UPDATE", 108),
+            ("VAR", "r", 115), ("LBRACE", "{", 118), ("KEYWORD", "DELETE", 120),
+            ("VAR", "x", 127), ("RBRACE", "}", 130), ("EOF", "", 131),
+        ]
+
+    def test_unicode_space_and_empty_comment(self):
+        assert self.scan("\u3000\x1c(::)\x85$v") == [
+            ("VAR", "v", 7), ("EOF", "", 9),
+        ]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("$a/b<50.00 (:", "unterminated comment at offset 11 (near ...$a/b<50.00 (:...)"),
+            ('WHERE $a = "abc', 'unterminated string at offset 11 (near ...WHERE $a = "abc...)'),
+            ("WHERE $a = “abc", "unterminated string at offset 11 (near ...WHERE $a = “abc...)"),
+            ("WHERE $a = 'abc", "unterminated string at offset 11 (near ...WHERE $a = 'abc...)"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(XQueryError) as caught:
+            self.scan(text)
+        assert str(caught.value) == message

@@ -147,7 +147,7 @@ class JournalBeforeMutation(Rule):
 #: the storage DML primitives that must each open with a fault site
 _STORAGE_PRIMITIVES = {
     "Table": {"insert_row", "restore_row", "delete_row", "update_row"},
-    "HashIndex": {"add", "remove"},
+    "HashIndex": {"add", "remove", "add_rows", "remove_rows"},
 }
 
 

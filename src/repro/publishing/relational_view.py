@@ -17,6 +17,7 @@ from typing import Any, Mapping
 
 from ..errors import UFilterError, UniqueViolation
 from ..rdb.database import Database
+from ..rdb.types import sql_literal
 from ..core.asg import JoinCondition, NodeKind, ViewASG, ViewNode
 
 __all__ = ["MappingRelationalView"]
@@ -210,13 +211,14 @@ class MappingRelationalView:
                                 f"exists with conflicting {attribute!r}"
                             )
                     continue
-            from ..rdb.types import sql_literal
-
+            columns = ", ".join(relation_schema.attribute_names)
             rendered = ", ".join(
                 sql_literal(values[attribute])
                 for attribute in relation_schema.attribute_names
             )
-            issued.append(f"INSERT INTO {relation} VALUES {rendered}")
+            issued.append(
+                f"INSERT INTO {relation} ({columns}) VALUES ({rendered})"
+            )
             self.db.insert(relation, values)
         return issued
 
@@ -225,6 +227,8 @@ class MappingRelationalView:
         if relation not in self.chain:
             raise UFilterError(f"{relation!r} is not part of the mapping view")
         rowids = self.db.find_rowids(relation, dict(equalities))
-        rendered = " AND ".join(f"{k} = {v!r}" for k, v in equalities.items())
+        rendered = " AND ".join(
+            f"{column} = {sql_literal(value)}" for column, value in equalities.items()
+        )
         self.db.delete(relation, rowids)
         return [f"DELETE FROM {relation} WHERE {rendered}"]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from types import SimpleNamespace
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -321,8 +322,7 @@ class Database:
             columns=tuple(columns),
             unique=unique,
         ))
-        for rowid, row in table.scan():
-            index.add(rowid, row)
+        index.add_rows(table.scan())
         self.indexes[relation_name].append(index)
         self._bump_schema_version(relation_name)
         return index
@@ -597,7 +597,7 @@ class Database:
     # physical operations (index maintenance only, no constraints)
     # ------------------------------------------------------------------
 
-    def _bump_data_version(self, relation_name: str) -> None:
+    def _bump_data_version(self, relation_name: str, count: int = 1) -> None:
         if self._coalesce_versions:
             return  # one bump per relation per rollback (see _replay_undo)
         if self._planner_mark is not None and not self.txn.active:
@@ -606,7 +606,7 @@ class Database:
             # the begin-state, so it must not rebase the planner
             self._planner_mark = None
         self.data_versions[relation_name] = (
-            self.data_versions.get(relation_name, 0) + 1
+            self.data_versions.get(relation_name, 0) + count
         )
 
     def _journal_undo(
@@ -627,25 +627,16 @@ class Database:
         self.faults.hit("wal.record", relation_name)
         self.wal.log_undo(self._wal_txn, kind, relation_name, rowid, old_values)
 
-    def _physical_insert(
-        self, relation_name: str, row: Row, rowid: Optional[int] = None
-    ) -> int:
+    def _physical_insert(self, relation_name: str, row: Row) -> int:
         self._bump_data_version(relation_name)
         table = self.table(relation_name)
-        self._journal_undo(
-            "insert",
-            relation_name,
-            rowid if rowid is not None else table.next_rowid(),
-        )
+        self._journal_undo("insert", relation_name, table.next_rowid())
         # table + statistics form the primitive's atomic core (no
         # injection site between them); index maintenance comes last so
         # a transient fault mid-loop leaves a tear the conditional undo
         # fully repairs — re-adding a present entry and removing an
         # absent one are both no-ops
-        if rowid is None:
-            rowid = table.insert_row(row)
-        else:
-            table.restore_row(rowid, row)
+        rowid = table.insert_row(row)
         stored = table.get(rowid)
         self.statistics.on_insert(relation_name, stored)
         for index in self.indexes[relation_name]:
@@ -657,19 +648,60 @@ class Database:
             self.deltas.record_insert(relation_name, rowid, stored)
         return rowid
 
-    def _physical_delete(self, relation_name: str, rowid: int) -> Row:
-        self._bump_data_version(relation_name)
+    # The two batch primitives run the same steps as the single-row
+    # ones, in the same order, except that index upkeep is hoisted out
+    # of the row loop: per row the undo image is journaled, the table
+    # mutated, the statistics and the delta log told; then each index
+    # applies the whole batch at once.  The index upkeep runs in a
+    # ``finally`` over the rows whose table change landed, so a fault
+    # at row k still indexes rows 1..k-1: a resumed undo picks rows by
+    # table presence and would never revisit them.
+
+    def _physical_delete_rows(
+        self, relation_name: str, rowids: Sequence[int]
+    ) -> None:
+        """Remove the stored rows *rowids* (all present) as one batch."""
+        self._bump_data_version(relation_name, len(rowids))
         table = self.table(relation_name)
-        self._journal_undo(
-            "delete", relation_name, rowid, dict(table.get(rowid))
-        )
-        removed = table.delete_row(rowid)
-        self.statistics.on_delete(relation_name, removed)
-        for index in self.indexes[relation_name]:
-            index.remove(rowid, removed)
-        if self.deltas.enabled and not self._replaying:
-            self.deltas.record_delete(relation_name, rowid, removed)
-        return removed
+        record = self.deltas.enabled and not self._replaying
+        removed: list[tuple[int, Row]] = []
+        try:
+            for rowid in rowids:
+                self._journal_undo(
+                    "delete", relation_name, rowid, table.get(rowid)
+                )
+                row = table.delete_row(rowid)
+                removed.append((rowid, row))
+                self.statistics.on_delete(relation_name, row)
+                if record:
+                    self.deltas.record_delete(relation_name, rowid, row)
+        finally:
+            if removed:
+                for index in self.indexes[relation_name]:
+                    index.remove_rows(removed)
+
+    def _physical_restore_rows(
+        self, relation_name: str, images: Sequence[tuple[int, Mapping[str, Any]]]
+    ) -> None:
+        """Store each ``(rowid, image)`` (all absent) under its own
+        rowid as one batch: the undo of a delete, and :meth:`clone`."""
+        self._bump_data_version(relation_name, len(images))
+        table = self.table(relation_name)
+        record = self.deltas.enabled and not self._replaying
+        stored: list[tuple[int, Row]] = []
+        try:
+            for rowid, image in images:
+                self._journal_undo("insert", relation_name, rowid)
+                table.restore_row(rowid, image)
+                row = table.get(rowid)
+                stored.append((rowid, row))
+                self.statistics.on_insert(relation_name, row)
+                if record:
+                    self.deltas.record_insert(relation_name, rowid, row)
+        finally:
+            if stored:
+                for index in self.indexes[relation_name]:
+                    index.add_rows(stored)
 
     def _physical_update(
         self, relation_name: str, rowid: int, changes: Mapping[str, Any]
@@ -751,54 +783,112 @@ class Database:
     def delete(self, relation_name: str, rowids: Iterable[int]) -> int:
         """DELETE the given rows, honouring each FK's delete policy.
 
-        Returns the total number of rows removed (cascades included).
+        The rows form one batch, and the cascade proceeds set at a time
+        (see :meth:`_delete_batch`): every index is maintained once per
+        batch, not once per row.  Absent and repeated rowids are
+        ignored.  Returns the total number of rows removed (cascades
+        included; SET NULL fix-ups are updates and do not count).
         """
-        removed = 0
+        rowids = list(rowids)
         with self._autocommit_journal():
-            for rowid in list(rowids):
-                if rowid in self.table(relation_name):
-                    removed += self._delete_one(relation_name, rowid)
-        return removed
+            return self._delete_batch(relation_name, rowids) if rowids else 0
 
     def delete_where(self, relation_name: str, predicate: Optional[Expr]) -> int:
         return self.delete(
             relation_name, self.select_rowids(relation_name, predicate)
         )
 
-    def _delete_one(self, relation_name: str, rowid: int) -> int:
+    def _delete_batch(
+        self,
+        relation_name: str,
+        rowids: Iterable[int],
+        doomed: Optional[dict[str, set[int]]] = None,
+    ) -> int:
+        """Delete one batch of *relation_name* rows and its cascade.
+
+        Each FK into the relation is resolved for the whole batch:
+
+        * RESTRICT is checked first, for every RESTRICT FK, so it raises
+          before the batch mutates anything; the message counts the
+          referencing rows of the first offending parent;
+        * then, FK by FK, the rows referencing any parent of the batch
+          form one child batch: CASCADE recurses on it once, SET NULL
+          updates each child.
+
+        *doomed* holds, per relation, every row a batch of this
+        statement has taken on.  Those rows never join a child batch, so
+        a cascade cycle (a self-referencing row, say) terminates; rows
+        that are gone by the time the batch itself is deleted are
+        skipped.  Returns the number of rows removed.
+        """
         table = self.table(relation_name)
-        row = dict(table.get(rowid))
+        batch = [rowid for rowid in dict.fromkeys(rowids) if rowid in table]
+        if not batch:
+            return 0
+        if doomed is None:
+            doomed = {}
+        doomed.setdefault(relation_name, set()).update(batch)
+        fks = self.schema.foreign_keys_into(relation_name)
+        parents = [table.get(rowid) for rowid in batch]
+        for fk in fks:
+            if fk.on_delete is DeletePolicy.RESTRICT:
+                for children in self._referencing(fk, parents):
+                    if children:
+                        raise ForeignKeyViolation(
+                            f"cannot delete from {relation_name}: "
+                            f"{len(children)} row(s) in {fk.relation_name} "
+                            f"still reference it"
+                        )
         removed = 0
-        # resolve children first so RESTRICT fires before the parent dies
-        for fk in self.schema.foreign_keys_into(relation_name):
-            referrer = fk.relation_name
-            key = tuple(row.get(column) for column in fk.ref_columns)
-            if any(component is None for component in key):
+        for fk in fks:
+            if fk.on_delete is DeletePolicy.RESTRICT:
                 continue
-            children = self.find_rowids(referrer, dict(zip(fk.columns, key)))
+            referrer = fk.relation_name
+            found = dict.fromkeys(chain.from_iterable(
+                self._referencing(fk, parents)
+            ))
+            spared = doomed.get(referrer, ())
+            children = [child for child in found if child not in spared]
             if not children:
                 continue
-            if fk.on_delete is DeletePolicy.RESTRICT:
-                raise ForeignKeyViolation(
-                    f"cannot delete from {relation_name}: {len(children)} "
-                    f"row(s) in {referrer} still reference it"
-                )
             if fk.on_delete is DeletePolicy.CASCADE:
-                for child in children:
-                    if child in self.table(referrer):
-                        removed += self._delete_one(referrer, child)
+                removed += self._delete_batch(referrer, children, doomed)
             else:  # SET NULL
                 nulls = {column: None for column in fk.columns}
+                referrer_table = self.table(referrer)
                 for child in children:
-                    if child in self.table(referrer):
+                    if child in referrer_table:
                         self.update(referrer, child, nulls)
-        if rowid not in table:  # a cascade cycle already removed it
-            return removed
-        image = dict(table.get(rowid))
-        self.txn.record(UndoAction(UndoKind.DELETE, relation_name, rowid, image))
-        self._physical_delete(relation_name, rowid)
-        self.stats["deletes"] += 1
-        return removed + 1
+        batch = [rowid for rowid in batch if rowid in table]
+        for rowid in batch:
+            self.txn.record(
+                UndoAction(UndoKind.DELETE, relation_name, rowid, table.get(rowid))
+            )
+        self._physical_delete_rows(relation_name, batch)
+        self.stats["deletes"] += len(batch)
+        return removed + len(batch)
+
+    def _referencing(
+        self, fk: ForeignKey, parents: Sequence[Row]
+    ) -> Iterator[Sequence[int]]:
+        """For each parent row, the rowids of *fk*'s referrer that
+        reference it (nothing for a parent key with a NULL).
+
+        A probe of the FK index; ``find_rowids`` only when no index
+        covers exactly the FK columns.
+        """
+        index = self.index_on(fk.relation_name, fk.columns)
+        if index is None:
+            for row in parents:
+                key = tuple(row[column] for column in fk.ref_columns)
+                yield () if None in key else sorted(
+                    self.find_rowids(fk.relation_name, dict(zip(fk.columns, key)))
+                )
+            return
+        ref_of = dict(zip(fk.columns, fk.ref_columns))
+        key_columns = [ref_of[column] for column in index.columns]
+        for row in parents:
+            yield index.lookup_rowids([row[column] for column in key_columns])
 
     def update(
         self, relation_name: str, rowid: int, changes: Mapping[str, Any]
@@ -949,7 +1039,16 @@ class Database:
     def _replay_undo(
         self, log: Sequence[UndoAction], site: str = "undo.rollback"
     ) -> None:
-        """Replay undo actions with coalesced version bumps.
+        """Replay undo actions in groups, with coalesced version bumps.
+
+        Consecutive INSERT or DELETE actions of one kind on one relation
+        form a group, replayed by one batch primitive, so each index is
+        maintained once per group (a rolled-back cascade is a handful of
+        groups); UPDATE actions replay one by one.  The ``site`` fault
+        site is still passed once per action, before its group lands: a
+        fault at an action first applies and confirms the group's
+        actions before it, so an interrupted replay stages exactly the
+        tail it would have staged replaying row by row.
 
         A rolled-back batch update can undo thousands of rows; bumping
         ``data_versions`` once per undone row costs one write (plus
@@ -965,7 +1064,7 @@ class Database:
 
         Each action is applied *conditionally* (delete-if-present /
         restore-if-absent / set-old-values) and confirmed back to the
-        transaction manager as it succeeds, which makes replay both
+        transaction manager with its group, which makes replay both
         idempotent and resumable: a failure mid-replay abandons nothing
         — the staged tail replays on the next rollback call.
         """
@@ -977,10 +1076,28 @@ class Database:
         self._coalesce_versions = True
         self._replaying = True
         try:
-            for action in log:
-                self.faults.hit(site, action.relation_name)
-                self._undo_apply(action)
-                self.txn.confirm_undone(action)
+            start, length = 0, len(log)
+            while start < length:
+                kind = log[start].kind
+                relation_name = log[start].relation_name
+                end = start + 1
+                if kind is not UndoKind.UPDATE:
+                    while end < length and log[end].kind is kind \
+                            and log[end].relation_name == relation_name:
+                        end += 1
+                reached = start
+                try:
+                    while reached < end:
+                        self.faults.hit(site, relation_name)
+                        reached += 1
+                finally:
+                    # the actions whose site passed land (and are
+                    # confirmed) even when a later one's site raises
+                    if reached > start:
+                        group = log[start:reached]
+                        self._undo_group(kind, relation_name, group)
+                        self.txn.confirm_undone(group)
+                start = end
         finally:
             # bump even when a replay step raises: the prefix already
             # mutated these relations, and cached plans must see it
@@ -997,22 +1114,39 @@ class Database:
                 if self.deltas.enabled:
                     self.deltas.record_bulk(relation_name)
 
-    def _undo_apply(self, action: UndoAction) -> None:
-        """Apply one undo action conditionally (idempotent)."""
-        table = self.table(action.relation_name)
-        if action.kind is UndoKind.INSERT:
-            if action.rowid in table:
-                self._physical_delete(action.relation_name, action.rowid)
-        elif action.kind is UndoKind.DELETE:
-            if action.rowid not in table:
-                self._physical_insert(
-                    action.relation_name, action.old_values, action.rowid
-                )
+    def _undo_group(
+        self, kind: UndoKind, relation_name: str, group: Sequence[UndoAction]
+    ) -> None:
+        """Apply one group of same-kind undo actions conditionally
+        (idempotent): delete-if-present, restore-if-absent, or
+        set-old-values for the one action of an UPDATE group."""
+        table = self.table(relation_name)
+        if kind is UndoKind.INSERT:
+            present = list(dict.fromkeys(a.rowid for a in group if a.rowid in table))
+            if present:
+                self._physical_delete_rows(relation_name, present)
+        elif kind is UndoKind.DELETE:
+            images: dict[int, Mapping[str, Any]] = {}
+            landed: dict[int, None] = {}
+            for action in group:
+                if action.rowid in table:
+                    landed[action.rowid] = None
+                else:
+                    images.setdefault(action.rowid, action.old_values)
+            if landed:
+                # restored by an interrupted replay whose index upkeep
+                # faulted: re-adding an entry the index holds is a no-op
+                rows = [(rowid, table.get(rowid)) for rowid in landed]
+                for index in self.indexes[relation_name]:
+                    index.add_rows(rows)
+            if images:
+                self._physical_restore_rows(relation_name, list(images.items()))
         else:
-            if action.rowid in table:
-                self._physical_update(
-                    action.relation_name, action.rowid, action.old_values
-                )
+            for action in group:
+                if action.rowid in table:
+                    self._physical_update(
+                        relation_name, action.rowid, action.old_values
+                    )
 
     # ------------------------------------------------------------------
     # durability: journal attachment, crash recovery, integrity audit
@@ -1265,8 +1399,7 @@ class Database:
         for relation_name, table in self.tables.items():
             if relation_name not in copy.tables:  # temp tables
                 copy.create_temp_table(relation_name, table.columns)
-            for rowid, row in table.scan():
-                copy._physical_insert(relation_name, dict(row), rowid)
+            copy._physical_restore_rows(relation_name, list(table.scan()))
         return copy
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

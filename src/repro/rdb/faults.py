@@ -4,7 +4,8 @@ The engine's crash-consistency story (:mod:`repro.rdb.wal`) is only as
 good as the crash points it survives, so every mutation path is
 threaded with **named injection sites**: tuple storage
 (``table.insert`` / ``table.restore`` / ``table.delete`` /
-``table.update``), index maintenance (``index.add`` / ``index.remove``),
+``table.update``), index maintenance (``index.add`` / ``index.remove``
+per row, ``index.add_rows`` / ``index.remove_rows`` per batch),
 undo replay (``undo.rollback`` for full rollbacks, ``undo.savepoint``
 for partial ones), the journal itself (``wal.record`` / ``wal.intent``
 / ``wal.commit``), the data-check apply helpers (``datacheck.delete`` /

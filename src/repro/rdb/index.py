@@ -10,10 +10,17 @@ indexes — that asymmetry is what Fig. 16 measures.
 NULL handling follows SQL: an index entry is only maintained when every
 indexed column is non-NULL, and uniqueness is not enforced across
 entries containing NULL.
+
+Maintenance comes in two grains: :meth:`HashIndex.add` / :meth:`HashIndex.remove`
+for one row (forward inserts and updates), and :meth:`HashIndex.add_rows` /
+:meth:`HashIndex.remove_rows` for a batch of stored rows (cascaded deletes,
+undo replay, bulk builds), which pass one fault site per batch and read the
+key columns straight off each complete stored row.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
 
 from ..errors import DatabaseError
@@ -28,7 +35,15 @@ Key = tuple[Any, ...]
 
 
 class HashIndex:
-    """A (possibly unique) hash index over one or more columns."""
+    """A (possibly unique) hash index over one or more columns.
+
+    Buckets map a key to its rowids.  The single-row :meth:`add` /
+    :meth:`remove` accept any mapping (missing columns read as NULL);
+    the batch :meth:`add_rows` / :meth:`remove_rows` take complete
+    stored rows, apply the whole batch under one fault site, and leave
+    exactly the buckets the same rows added or removed one at a time
+    would leave.
+    """
 
     #: fault-injection registry; the owning Database replaces this with
     #: its own armed instance (standalone indexes keep the shared no-op)
@@ -55,6 +70,9 @@ class HashIndex:
         self._size = 0
         #: probe counter — used by benchmarks/tests to show index usage
         self.lookups = 0
+        #: the key columns of a complete stored row (a scalar for one
+        #: column, a tuple for several) — the batch methods' extractor
+        self._get_key = itemgetter(*columns)
 
     # -- key helpers ---------------------------------------------------------
 
@@ -89,6 +107,51 @@ class HashIndex:
             if not bucket:
                 del self._entries[key]
 
+    def _keyed(
+        self, rows: Iterable[tuple[int, Mapping[str, Any]]]
+    ) -> list[tuple[int, Key]]:
+        """``(rowid, key)`` for each complete stored row whose key has
+        no NULL component."""
+        get = self._get_key
+        if len(self.columns) == 1:
+            return [
+                (rowid, (value,)) for rowid, row in rows
+                if (value := get(row)) is not None
+            ]
+        return [
+            (rowid, key) for rowid, row in rows
+            if None not in (key := get(row))
+        ]
+
+    def add_rows(self, rows: Iterable[tuple[int, Mapping[str, Any]]]) -> None:
+        """:meth:`add` for a batch of ``(rowid, stored row)`` pairs."""
+        self.faults.hit("index.add_rows", self.relation_name)
+        entries = self._entries
+        added = 0
+        for rowid, key in self._keyed(rows):
+            bucket = entries.get(key)
+            if bucket is None:
+                entries[key] = {rowid: None}
+                added += 1
+            elif rowid not in bucket:
+                bucket[rowid] = None
+                added += 1
+        self._size += added
+
+    def remove_rows(self, rows: Iterable[tuple[int, Mapping[str, Any]]]) -> None:
+        """:meth:`remove` for a batch of ``(rowid, stored row)`` pairs."""
+        self.faults.hit("index.remove_rows", self.relation_name)
+        entries = self._entries
+        removed = 0
+        for rowid, key in self._keyed(rows):
+            bucket = entries.get(key)
+            if bucket is not None and rowid in bucket:
+                del bucket[rowid]
+                removed += 1
+                if not bucket:
+                    del entries[key]
+        self._size -= removed
+
     def entries(self) -> dict[Key, set[int]]:
         """A snapshot of every bucket (for integrity audits)."""
         return {key: set(bucket) for key, bucket in self._entries.items()}
@@ -107,8 +170,7 @@ class HashIndex:
         """
         self._entries.clear()
         self._size = 0
-        for rowid, row in table.scan():
-            self.add(rowid, row)
+        self.add_rows(table.scan())
 
     def would_conflict(self, row: Mapping[str, Any], ignore: Optional[int] = None) -> bool:
         """True iff inserting *row* would violate a unique index."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from ..errors import TransactionError
 
@@ -52,7 +52,9 @@ class TransactionManager:
         self._active = False
         #: undo actions handed out for replay but not yet confirmed
         #: undone — an exception mid-replay leaves its tail here, and a
-        #: later rollback resumes from it instead of abandoning it
+        #: later rollback resumes from it instead of abandoning it.
+        #: Kept as a stack (the next action to undo is last), so that
+        #: confirming a replayed group is one slice delete off the end
         self._pending: list[UndoAction] = []
         #: statistics for benchmarks: undo records written / replayed
         self.records_written = 0
@@ -102,31 +104,36 @@ class TransactionManager:
         """Close the transaction and hand the undo log (newest first).
 
         The handed-out actions are *also* staged on the pending list:
-        the replayer confirms each one via :meth:`confirm_undone` as it
-        succeeds, so an exception mid-replay leaves exactly the
-        unconsumed tail staged for :meth:`take_pending` to resume.
+        the replayer confirms each replayed group via
+        :meth:`confirm_undone`, so an exception mid-replay leaves exactly
+        the unconsumed tail staged for :meth:`take_pending` to resume.
         """
         if not self._active:
             if self._pending:
                 # resuming an interrupted rollback: hand the leftover
                 # tail again without re-counting it as replayed
-                return list(self._pending)
+                return self.take_pending()
             raise TransactionError("no active transaction to roll back")
         self._active = False
-        log = list(reversed(self._log)) + self._pending
+        # newest-first replay order is the stack read from its top: the
+        # older pending tail first, then this transaction's log on top
+        self._pending.extend(self._log)
         self._log.clear()
-        self._pending = list(log)
-        self.records_replayed += len(log)
-        return log
+        self.records_replayed += len(self._pending)
+        return self.take_pending()
 
     def take_pending(self) -> list[UndoAction]:
-        """The staged-but-unconfirmed undo tail of an interrupted replay."""
-        return list(self._pending)
+        """The staged-but-unconfirmed undo tail of an interrupted replay,
+        in replay order (newest first)."""
+        return self._pending[::-1]
 
-    def confirm_undone(self, action: UndoAction) -> None:
-        """Mark the oldest staged action as successfully replayed."""
-        if self._pending and self._pending[0] is action:
-            self._pending.pop(0)
+    def confirm_undone(self, actions: Sequence[UndoAction]) -> None:
+        """Mark the next *actions* of the staged replay order (a prefix
+        of what :meth:`take_pending` handed out) as replayed."""
+        count = len(actions)
+        if count and len(self._pending) >= count \
+                and self._pending[-1] is actions[0]:
+            del self._pending[-count:]
 
     def hard_reset(self) -> None:
         """Forget all volatile transaction state (simulated crash).
@@ -160,8 +167,8 @@ class TransactionManager:
             raise TransactionError("no active transaction to roll back")
         if mark < 0 or mark > len(self._log):
             raise TransactionError(f"invalid savepoint {mark!r}")
-        tail = list(reversed(self._log[mark:]))
+        tail = self._log[mark:]
         del self._log[mark:]
-        self._pending = tail + self._pending
+        self._pending.extend(tail)
         self.records_replayed += len(tail)
-        return tail
+        return tail[::-1]

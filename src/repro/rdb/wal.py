@@ -9,7 +9,8 @@ barrier.  On reopen, :meth:`repro.rdb.database.Database.recover` reads
 the journal back, rolls back every transaction that has no end marker
 (the crashed ones), and can optionally replay their durable intents.
 
-Record stream (one JSON object per line, CRC32-guarded)::
+Record stream (one JSON object per line, prefixed by the decimal CRC32
+of its text and a space, so each record is encoded once)::
 
     {"t": "begin",  "x": 7}
     {"t": "intent", "x": 7, "name": "u1", "ops": [...]}   # barrier
@@ -73,21 +74,22 @@ def decode_row(row: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def _frame(record: Mapping[str, Any]) -> str:
-    """Serialize one record as its checksummed journal line."""
+    """Serialize one record as its checksummed journal line,
+    ``"<crc32 of payload> <payload>"``; the record is encoded once."""
     payload = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    crc = zlib.crc32(payload.encode("utf-8"))
-    return json.dumps({"c": crc, "r": payload}, separators=(",", ":"))
+    return f"{zlib.crc32(payload.encode('utf-8'))} {payload}"
 
 
 def _unframe(line: str) -> Optional[dict[str, Any]]:
     """Parse one journal line; ``None`` when torn or corrupted."""
+    crc, _, payload = line.partition(" ")
+    if not crc.isascii() or not crc.isdigit():
+        return None
+    if zlib.crc32(payload.encode("utf-8")) != int(crc):
+        return None
     try:
-        envelope = json.loads(line)
-        payload = envelope["r"]
-        if zlib.crc32(payload.encode("utf-8")) != envelope["c"]:
-            return None
         record = json.loads(payload)
-    except (ValueError, KeyError, TypeError):
+    except ValueError:
         return None
     return record if isinstance(record, dict) else None
 

@@ -49,6 +49,7 @@ KEYWORDS = {
 
 _NAME = re.compile(r"[A-Za-z_][\w.\-]*")
 _SPACE = re.compile(r"\s*")
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?|\.[0-9]+")
 #: what closes a string opened by a curly double quote
 _CURLY_CLOSE = re.compile('[“”"]')
 _PUNCTUATION = {
@@ -237,17 +238,12 @@ class Lexer:
             self.position = end + 1
             return Token(TokenKind.STRING, text[start + 1:end], start)
 
-        if ch.isdigit() or (ch == "." and start + 1 < n and text[start + 1].isdigit()):
-            end = start
-            seen_dot = False
-            while end < n and (text[end].isdigit() or (text[end] == "." and not seen_dot)):
-                if text[end] == ".":
-                    if end + 1 >= n or not text[end + 1].isdigit():
-                        break
-                    seen_dot = True
-                end += 1
-            self.position = end
-            return Token(TokenKind.NUMBER, text[start:end], start)
+        # ASCII digits only: str.isdigit() also accepts "²" and friends,
+        # which int()/float() then reject
+        number = _NUMBER.match(text, start)
+        if number:
+            self.position = number.end()
+            return Token(TokenKind.NUMBER, number.group(0), start)
 
         if ch.isalpha() or ch == "_":
             match = _NAME.match(text, start)

@@ -30,6 +30,7 @@ LIVE_SOURCE_ROOT = Path(repro.__file__).resolve().parent
     [
         ("rep001_journal_order.py", "REP001"),
         ("rep002_missing_site.py", "REP002"),
+        ("rep002_batch_index_site.py", "REP002"),
         ("rep003_bare_except.py", "REP003"),
         ("session.py", "REP003"),
         ("rep004_version_bump.py", "REP004"),
@@ -148,6 +149,27 @@ def test_rep002_duplicate_site_names_across_methods():
     report = lint_source(source, rule_ids=["REP002"])
     assert len(report.findings) == 1
     assert "dup.site" in report.findings[0].detail
+
+
+def test_rep002_covers_the_batch_index_primitives():
+    """``HashIndex.add_rows`` / ``remove_rows`` must each open with a
+    fault site of their own, like the single-row primitives."""
+    source = (
+        "class HashIndex:\n"
+        "    def add_rows(self, rows):\n"
+        '        self.faults.hit("index.add", self.relation_name)\n'
+        "\n"
+        "    def add(self, rowid, row):\n"
+        '        self.faults.hit("index.add", self.relation_name)\n'
+        "\n"
+        "    def remove_rows(self, rows):\n"
+        "        self.entries.clear()\n"
+    )
+    report = lint_source(source, rule_ids=["REP002"])
+    details = sorted(finding.detail for finding in report.findings)
+    assert len(details) == 2, report.describe()
+    assert "HashIndex.remove_rows must open" in details[1]
+    assert "'index.add'" in details[0] and "already used" in details[0]
 
 
 def test_rep003_reraising_handler_is_fine_on_apply_path():

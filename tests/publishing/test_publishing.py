@@ -102,6 +102,52 @@ class TestMappingRelationalView:
         issued = view.delete("review", {"bookid": "98001"})
         assert issued and book_db.count("review") == 0
 
+    def test_insert_and_delete_sql_rendering(self, view, book_db):
+        """The internal strategy's statements name their columns,
+        parenthesize the values, and render values as SQL literals
+        (quotes doubled, NULL spelled out) — text an SQL engine takes."""
+        import sqlite3
+
+        insert = view.insert(
+            {
+                "book.bookid": "98003",
+                "review.bookid": "98003",
+                "review.reviewid": "007",
+                "review.comment": "it's fine",
+            }
+        )
+        delete = view.delete("review", {"bookid": "98003", "comment": "it's fine"})
+        assert insert == [
+            "INSERT INTO review (bookid, reviewid, comment, reviewer) "
+            "VALUES ('98003', '007', 'it''s fine', NULL)"
+        ]
+        assert delete == [
+            "DELETE FROM review WHERE bookid = '98003' AND comment = 'it''s fine'"
+        ]
+        assert book_db.count("review") == 2
+        # stdlib sqlite3 accepts both statements and reads the quote back
+        connection = sqlite3.connect(":memory:")
+        connection.execute(
+            "CREATE TABLE review (bookid, reviewid, comment, reviewer)"
+        )
+        connection.execute(insert[0])
+        assert connection.execute("SELECT comment FROM review").fetchall() == [
+            ("it's fine",)
+        ]
+        connection.execute(delete[0])
+        assert connection.execute("SELECT COUNT(*) FROM review").fetchone() == (0,)
+        connection.close()
+
+    def test_delete_renders_dates_and_numbers_as_sql_literals(self, view):
+        import datetime
+
+        issued = view.delete(
+            "book", {"year": datetime.date(1999, 5, 1), "price": 48.0}
+        )
+        assert issued == [
+            "DELETE FROM book WHERE year = DATE '1999-05-01' AND price = 48.0"
+        ]
+
     def test_delete_unknown_relation_rejected(self, view):
         from repro.errors import UFilterError
 

@@ -7,12 +7,14 @@ twice, file-backed reopen.
 """
 
 import datetime
+import json
+import zlib
 
 import pytest
 
 from repro.errors import DatabaseError
 from repro.rdb import FaultPlan, SimulatedCrash, WriteAheadLog
-from repro.rdb.wal import decode_row, encode_row
+from repro.rdb.wal import _frame, _unframe, decode_row, encode_row
 from repro.workloads import books
 
 
@@ -291,3 +293,48 @@ class TestIntentRedo:
         assert [i["name"] for i in report.pending_intents] == ["u1"]
         assert report.redone == []
         assert _state(db) == before
+
+
+# ---------------------------------------------------------------------------
+# line framing: "<crc32> <payload>", the record encoded once
+# ---------------------------------------------------------------------------
+
+
+class TestFraming:
+    RECORD = {"t": "undo", "x": 3, "k": "delete", "rel": "review", "rid": 9,
+              "old": encode_row({"comment": "it's \"fine\"", "d": datetime.date(2001, 2, 3)})}
+
+    def test_line_is_crc_space_payload(self):
+        line = _frame(self.RECORD)
+        crc, payload = line.split(" ", 1)
+        assert int(crc) == zlib.crc32(payload.encode("utf-8"))
+        assert json.loads(payload) == self.RECORD
+        assert _unframe(line) == self.RECORD
+
+    def test_every_torn_prefix_reads_as_none(self):
+        line = _frame(self.RECORD)
+        for cut in range(len(line)):
+            assert _unframe(line[:cut]) is None, line[:cut]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "",
+            " {}",
+            "x1 {}",
+            "² {}",
+            f"{zlib.crc32(b'[1]')} [1]",          # valid CRC, not a record
+            f"{zlib.crc32(b'{}') + 1} {{}}",       # CRC mismatch
+            f"{zlib.crc32(b'{')} {{",              # valid CRC, bad JSON
+        ],
+    )
+    def test_corrupt_lines_read_as_none(self, line):
+        assert _unframe(line) is None
+
+    def test_corrupt_middle_line_ends_the_valid_prefix(self):
+        wal = WriteAheadLog()
+        txn = wal.begin_txn()
+        wal.log_undo(txn, "insert", "book", 1)
+        wal.log_undo(txn, "insert", "book", 2)
+        wal._lines[1] = wal._lines[1].replace('"rid":1', '"rid":7')
+        assert [r["t"] for r in wal.records()] == ["begin"]

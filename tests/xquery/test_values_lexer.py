@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import XQueryError
 from repro.xquery.lexer import Lexer, TokenKind
+from repro.xquery.update_parser import parse_view_update
 from repro.xquery.values import compare_values, render_value
 
 
@@ -182,3 +183,35 @@ class TestLexerPinned:
         with pytest.raises(XQueryError) as caught:
             self.scan(text)
         assert str(caught.value) == message
+
+
+class TestNonAsciiDigits:
+    """Only ASCII 0-9 make a NUMBER: ``str.isdigit()`` also accepts
+    superscripts and other scripts' digits, which ``int()`` rejects with
+    a bare ``ValueError``."""
+
+    def test_ascii_numbers_still_lex(self):
+        lexer = Lexer("12.5 .5 7")
+        values = [lexer.next() for _ in range(3)]
+        assert [(t.kind, t.value) for t in values] == [
+            (TokenKind.NUMBER, "12.5"),
+            (TokenKind.NUMBER, ".5"),
+            (TokenKind.NUMBER, "7"),
+        ]
+
+    @pytest.mark.parametrize(
+        "operand, message",
+        [
+            ("\u00b2", "unexpected character '\u00b2' at offset 41"),
+            ("1\u0663", "unexpected character '\u0663' at offset 42"),
+            ("2.\u00b9", "unexpected character '.' at offset 42"),
+        ],
+    )
+    def test_non_ascii_digit_is_an_xquery_error(self, operand, message):
+        text = (
+            f'FOR $r IN document("V.xml") WHERE $r/b = {operand} '
+            "UPDATE $r { DELETE $r }"
+        )
+        with pytest.raises(XQueryError) as caught:
+            parse_view_update(text)
+        assert str(caught.value).startswith(message)

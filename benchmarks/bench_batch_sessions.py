@@ -12,12 +12,15 @@ applies the survivors in one transaction.  This module runs the same
 
 The second half is the **streaming** workload behind
 ``BENCH_streaming.json``: a long-lived session absorbing hundreds of
-single-update rounds, run once with probe-cache invalidation forced
-(``REPRO_IVM=0`` — every write drops the cached probes, every round
-re-scans) and once with delta maintenance forced (``REPRO_IVM=1`` —
-each write streams its delta rows into the cached results).  The gate
-requires maintenance to scan >= ``MIN_STREAM_SPEEDUP``x fewer rows
-while producing byte-identical probe rows and final table state.
+single-update rounds, run once with probe-cache invalidation
+(``UpdateSession(ivm=False)`` — every write drops the cached probes,
+every round re-scans) and once with delta maintenance forced
+(``db.ivm_threshold = math.inf`` — each write streams its delta rows
+into the cached results).  Both runs arm the plan verifier
+(``db.verify_plans``), so every lowered plan is checked before it
+compiles.  The gate requires maintenance to scan >=
+``MIN_STREAM_SPEEDUP``x fewer rows while producing byte-identical
+probe rows and final table state.
 
 The printed series mirrors the paper-style tables of the other
 benchmark modules (x axis = batch size instead of DB size).
@@ -25,6 +28,7 @@ benchmark modules (x axis = batch size instead of DB size).
 
 import argparse
 import json
+import math
 import time
 from pathlib import Path
 
@@ -34,7 +38,7 @@ from repro.core import Outcome, UpdateSession, run_per_update
 from repro.rdb.plan import execute_select
 from repro.workloads import books, chains
 
-from .helpers import Series, byte_rows, forced_ivm, timed
+from .helpers import Series, byte_rows, timed
 
 BENCH_STREAM_PATH = Path(__file__).resolve().parent.parent / "BENCH_streaming.json"
 
@@ -162,21 +166,24 @@ def chain_state(db):
     }
 
 
-def run_streaming(mode: str, rounds: int, seed_parents: int) -> dict:
+def run_streaming(maintain: bool, rounds: int, seed_parents: int) -> dict:
     """Drive *rounds* two-update executes through one long-lived session
-    with the maintenance policy pinned to *mode* ("0" or "1")."""
-    with forced_ivm(mode):
-        db = chains.build_chain_db(seed_parents=seed_parents)
-        session = UpdateSession(db, chains.CHAIN_VIEW)
-        before = dict(db.stats)
-        applied = 0
-        start = time.perf_counter()
-        for k in range(rounds):
-            result = session.execute(
-                stream_round(k), mode="interleaved", atomic=False
-            )
-            applied += len(result.applied)
-        seconds = time.perf_counter() - start
+    that either maintains every cached probe (*maintain*) or
+    invalidates and recomputes them."""
+    db = chains.build_chain_db(seed_parents=seed_parents)
+    db.verify_plans = True
+    if maintain:
+        db.ivm_threshold = math.inf
+    session = UpdateSession(db, chains.CHAIN_VIEW, ivm=maintain)
+    before = dict(db.stats)
+    applied = 0
+    start = time.perf_counter()
+    for k in range(rounds):
+        result = session.execute(
+            stream_round(k), mode="interleaved", atomic=False
+        )
+        applied += len(result.applied)
+    seconds = time.perf_counter() - start
     measured = {
         key: db.stats[key] - before.get(key, 0)
         for key in (
@@ -209,8 +216,8 @@ def verify_probe_rows(run: dict) -> bool:
 
 
 def run_streaming_suite(rounds: int, seed_parents: int) -> dict:
-    invalidate = run_streaming("0", rounds, seed_parents)
-    maintained = run_streaming("1", rounds, seed_parents)
+    invalidate = run_streaming(False, rounds, seed_parents)
+    maintained = run_streaming(True, rounds, seed_parents)
     inv_stats, ivm_stats = invalidate["stats"], maintained["stats"]
     speedup = inv_stats["rows_scanned"] / max(ivm_stats["rows_scanned"], 1)
     return {

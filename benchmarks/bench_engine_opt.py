@@ -15,8 +15,10 @@ identical :class:`SelectPlan` under each executor:
 The harness asserts **byte-identical** results (same rows, same key
 order, same row order) between the two executors wherever the oracle
 runs, and a strict scan reduction versus the interpreted baseline on
-the probe workloads.  Aggregates land in ``BENCH_engine.json`` — the
-perf trajectory later PRs must not regress.
+the probe workloads.  The plan verifier is armed
+(``db.verify_plans``), so every lowered plan is checked before it
+compiles.  Aggregates land in ``BENCH_engine.json`` — the perf
+trajectory later PRs must not regress.
 
 Run standalone (``python benchmarks/bench_engine_opt.py [--scale MB]``),
 via ``repro bench``, or let pytest pick up the quick smoke test below.
@@ -257,6 +259,7 @@ def run_workload(db, spec: dict, rounds: int) -> dict:
 def run_suite(megabytes: float, rounds: int = DEFAULT_ROUNDS) -> dict:
     scale = tpch.scale_rows(megabytes)
     db = tpch.build_tpch_database(scale)
+    db.verify_plans = True
     workloads = build_workloads(db, scale)
     # explicit ANALYZE after the bulk load (and the temp-table
     # materializations build_workloads creates): the planner starts from

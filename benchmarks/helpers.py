@@ -9,11 +9,9 @@ output can be compared against the figures directly.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import defaultdict
-from contextlib import contextmanager
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from repro.core import Category, UFilter
 from repro.core.update_binding import resolve_update
@@ -24,7 +22,6 @@ __all__ = [
     "blind_translate_and_execute",
     "byte_rows",
     "checked_translate_and_execute",
-    "forced_ivm",
     "fresh_tpch",
     "timed",
 ]
@@ -78,29 +75,6 @@ def timed(fn: Callable[[], object]) -> float:
     start = time.perf_counter()
     fn()
     return time.perf_counter() - start
-
-
-@contextmanager
-def forced_ivm(mode: Optional[str]):
-    """Pin the probe-cache maintenance policy for the block.
-
-    ``"1"`` forces delta maintenance regardless of delta size, ``"0"``
-    forces the invalidate-and-recompute path, ``None`` restores the
-    threshold-driven default.  Restores the previous ``REPRO_IVM`` on
-    exit, so measurement blocks can be nested or reordered freely.
-    """
-    previous = os.environ.get("REPRO_IVM")
-    if mode is None:
-        os.environ.pop("REPRO_IVM", None)
-    else:
-        os.environ["REPRO_IVM"] = mode
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_IVM", None)
-        else:
-            os.environ["REPRO_IVM"] = previous
 
 
 def byte_rows(rows: Iterable[dict]) -> list:

@@ -15,18 +15,15 @@ Two layers, one finding vocabulary (the ERROR/WARNING severities of
 * :mod:`repro.analysis.planlint` — a **plan-IR verifier** that checks
   every lowered physical operator tree against the schema and the
   plan's own invariants (column bindings, join-key types, leaf
-  coverage, estimate bounds, output shape).  Armed via the
-  ``REPRO_PLAN_VERIFY=1`` environment variable it runs as a debug hook
-  on lowering; ``repro lint --plans`` sweeps it across generated
-  scenarios.
+  coverage, estimate bounds, output shape).  Armed per database via
+  ``db.verify_plans`` it runs as a debug hook on lowering; ``repro qa``
+  and ``repro faults`` arm it across generated scenarios.
 """
 
 from .findings import SEVERITY_ERROR, SEVERITY_WARNING, LintFinding
 from .linter import LintReport, ModuleSource, Rule, lint_paths, lint_source
 from .planlint import (
     PlanFinding,
-    plan_verify_enabled,
-    sweep_plans,
     verify_or_raise,
     verify_plan,
 )
@@ -43,8 +40,6 @@ __all__ = [
     "SEVERITY_WARNING",
     "lint_paths",
     "lint_source",
-    "plan_verify_enabled",
-    "sweep_plans",
     "verify_or_raise",
     "verify_plan",
 ]

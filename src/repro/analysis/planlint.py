@@ -24,19 +24,18 @@ invariants:
   ``0 <= est <= input bound`` (child estimate for unary operators, the
   product of child estimates for joins).
 
-Armed via ``REPRO_PLAN_VERIFY=1``, :func:`verify_or_raise` runs as a
-debug hook on every lowering and raises
-:class:`repro.errors.PlanVerificationError` on any finding.
-``repro lint --plans`` sweeps the verifier across the seeded scenario
-generator (:func:`sweep_plans`).
+Armed per database via ``db.verify_plans``, :func:`verify_or_raise`
+runs as a debug hook on every lowering and raises
+:class:`repro.errors.PlanVerificationError` on any finding.  The seeded
+scenario sweeps (``repro qa``, ``repro faults``) arm it on every
+database they build.
 """
 
 from __future__ import annotations
 
 import datetime
-import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from ..errors import PlanVerificationError
@@ -67,9 +66,6 @@ __all__ = [
     "CHECK_UNKNOWN_COLUMN",
     "CHECK_UNKNOWN_RELATION",
     "PlanFinding",
-    "PlanSweepReport",
-    "plan_verify_enabled",
-    "sweep_plans",
     "verified_plan_count",
     "verify_maintenance_or_raise",
     "verify_maintenance_plan",
@@ -445,11 +441,6 @@ def verify_or_raise(
         )
 
 
-def plan_verify_enabled() -> bool:
-    """True iff the ``REPRO_PLAN_VERIFY`` debug hook is armed."""
-    return os.environ.get("REPRO_PLAN_VERIFY", "") not in ("", "0")
-
-
 # ---------------------------------------------------------------------------
 # maintenance-plan verification
 # ---------------------------------------------------------------------------
@@ -581,66 +572,3 @@ def verify_maintenance_or_raise(db: Database, mplan: Any) -> None:
             plan_text=mplan.plan.to_sql(),
         )
 
-
-# ---------------------------------------------------------------------------
-# scenario sweep (repro lint --plans)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PlanSweepReport:
-    """Outcome of verifying every plan a scenario sweep lowers."""
-
-    scenarios: int = 0
-    updates_checked: int = 0
-    plans_verified: int = 0
-    divergences: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
-
-    def describe(self) -> str:
-        status = "OK" if self.ok else f"{len(self.divergences)} divergence(s)"
-        return (
-            f"plan verifier: {self.plans_verified} plan(s) verified over "
-            f"{self.scenarios} scenario(s) "
-            f"({self.updates_checked} update(s)): {status}"
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "scenarios": self.scenarios,
-            "updates_checked": self.updates_checked,
-            "plans_verified": self.plans_verified,
-            "divergences": [d.to_dict() for d in self.divergences],
-            "ok": self.ok,
-        }
-
-
-def sweep_plans(scenarios: int, seed: int = 0) -> PlanSweepReport:
-    """Round-trip seeded scenarios with plan verification armed.
-
-    Every plan lowered anywhere in the sweep — probe queries, rowid
-    paths, constraint checks, session applies — passes through
-    :func:`verify_or_raise`; a verification failure surfaces as an
-    ``exception`` divergence of the scenario run (the generator's
-    broad catches exist exactly to report escapes as findings).
-    """
-    from ..core.scenario_gen import run_many
-
-    before = _verified_plans
-    previous = os.environ.get("REPRO_PLAN_VERIFY")
-    os.environ["REPRO_PLAN_VERIFY"] = "1"
-    try:
-        summary = run_many(scenarios, seed=seed)
-    finally:
-        if previous is None:
-            del os.environ["REPRO_PLAN_VERIFY"]
-        else:
-            os.environ["REPRO_PLAN_VERIFY"] = previous
-    return PlanSweepReport(
-        scenarios=summary.scenarios,
-        updates_checked=summary.updates_checked,
-        plans_verified=_verified_plans - before,
-        divergences=list(summary.divergences),
-    )

@@ -21,8 +21,7 @@ Subcommands:
   recorded site, recover, and assert atomicity + storage integrity
   (:mod:`repro.core.faultsweep`);
 * ``lint`` — run the repo invariant linter (rules REP001–REP005 of
-  :mod:`repro.analysis`) over the source tree, and with ``--plans``
-  additionally sweep the plan-IR verifier across generated scenarios;
+  :mod:`repro.analysis`) over the source tree;
 * ``bench`` — run the engine executor benchmark (the Fig. 15/16 probe
   workloads under the interpreted and row-compiled executors) at a
   chosen scale, writing the timing JSON and optionally gating against
@@ -224,27 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     lint.add_argument(
-        "--plans",
-        action="store_true",
-        help="also sweep the plan-IR verifier over generated scenarios "
-        "(REPRO_PLAN_VERIFY armed for every lowering)",
-    )
-    lint.add_argument(
-        "--scenarios",
-        type=int,
-        default=200,
-        help="scenarios for the --plans sweep (default 200)",
-    )
-    lint.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="first scenario seed for the --plans sweep",
-    )
-    lint.add_argument(
         "--json",
         metavar="PATH",
-        help="also write findings (and the plan-sweep report) as JSON",
+        help="also write findings as JSON",
     )
 
     bench = sub.add_parser(
@@ -454,7 +435,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     import json
 
     from .analysis import lint_paths
-    from .analysis.planlint import sweep_plans
 
     paths = args.paths or [str(Path(__file__).resolve().parent)]
     rule_ids = None
@@ -466,18 +446,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
     print(report.describe())
-    exit_code = report.exit_code
-    payload = report.to_dict()
-    if args.plans:
-        sweep = sweep_plans(args.scenarios, seed=args.seed)
-        print(sweep.describe())
-        payload["plan_sweep"] = sweep.to_dict()
-        if not sweep.ok:
-            exit_code = 1
     if args.json:
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
+        Path(args.json).write_text(
+            json.dumps(report.to_dict(), indent=2) + "\n"
+        )
         print(f"wrote {args.json}")
-    return exit_code
+    return report.exit_code
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

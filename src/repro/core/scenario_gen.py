@@ -45,7 +45,7 @@ to the smallest misbehaving seed.
 
 from __future__ import annotations
 
-import os
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -386,6 +386,9 @@ def generate_scenario(seed: int) -> Scenario:
 
 def _build_db(scenario: Scenario) -> Database:
     db = Database(Schema())
+    # every plan a sweep lowers is structurally checked before it
+    # compiles; clones inherit the flag
+    db.verify_plans = True
     engine = SQLEngine(db)
     for statement in parse_script(scenario.ddl):
         engine.execute(statement)
@@ -571,24 +574,17 @@ def run_scenario(
                     "per-update checking (probe-cache invalidation?)",
                 )
 
-            # third leg: the same session with probe maintenance forced
-            # (REPRO_IVM=1) — cached probes are delta-maintained instead
-            # of recomputed, and the final state must still agree
+            # third leg: the same session with no maintenance ceiling —
+            # cached probes are delta-maintained instead of recomputed
+            # whatever the delta size, and the final state must still agree
             maintained = base.clone()
-            previous_ivm = os.environ.get("REPRO_IVM")
-            os.environ["REPRO_IVM"] = "1"
-            try:
-                session = UpdateSession(
-                    maintained, scenario.view_text, strategy="outside", qa=True
-                )
-                for name, text in scenario.updates:
-                    session.add(text, name=name)
-                session.execute(mode="interleaved", atomic=False)
-            finally:
-                if previous_ivm is None:
-                    os.environ.pop("REPRO_IVM", None)
-                else:
-                    os.environ["REPRO_IVM"] = previous_ivm
+            maintained.ivm_threshold = math.inf
+            session = UpdateSession(
+                maintained, scenario.view_text, strategy="outside", qa=True
+            )
+            for name, text in scenario.updates:
+                session.add(text, name=name)
+            session.execute(mode="interleaved", atomic=False)
 
             if _fingerprint(sequential) != _fingerprint(maintained):
                 bad(

@@ -62,7 +62,6 @@ from ..errors import (
     UpdateTimeoutError,
 )
 from ..rdb.database import Database
-from ..rdb.ivm import ivm_forced
 from ..xquery.ast import ViewQuery
 from ..xquery.parser import parse_view_query
 from ..xquery.update_ast import ViewUpdate
@@ -295,9 +294,9 @@ class UpdateSession:
     ivm:
         Maintain cached probe results incrementally from DML deltas
         (:mod:`repro.rdb.ivm`) instead of invalidating and recomputing
-        them.  Default ``None`` means on, subject to
-        ``db.ivm_threshold``; the ``REPRO_IVM`` environment variable
-        (``0`` off / ``1`` forced) overrides either setting per run.
+        them.  On by default, subject to ``db.ivm_threshold``
+        (``math.inf`` maintains every delta); ``False`` invalidates
+        and recomputes.
     """
 
     def __init__(
@@ -316,7 +315,7 @@ class UpdateSession:
         on_failure: Optional[str] = None,
         sleep: Optional[Callable[[float], None]] = None,
         clock: Optional[Callable[[], float]] = None,
-        ivm: Optional[bool] = None,
+        ivm: bool = True,
     ) -> None:
         self.db = db
         self.strategy = strategy
@@ -348,7 +347,7 @@ class UpdateSession:
         #: only changes when non-temp relations are created or dropped)
         self._closure_cache: dict[frozenset[str], set[str]] = {}
         self._closure_epoch = db.fk_epoch
-        if self._ivm_active():
+        if self.ivm:
             db.deltas.enable()
 
     # ------------------------------------------------------------------
@@ -398,7 +397,7 @@ class UpdateSession:
             # every cached probe result is suspect
             self.cache.clear()
             self._recovery_epoch = self.db.recovery_epoch
-        if self._ivm_active():
+        if self.ivm:
             # mutations since the last batch (other sessions, direct
             # DML) stream into the cache before any probe trusts it
             self.db.deltas.enable()
@@ -987,14 +986,6 @@ class UpdateSession:
                     raise
                 self._backoff_sleep(attempt)
 
-    def _ivm_active(self) -> bool:
-        """Whether mutations maintain the probe cache instead of
-        invalidating it (``REPRO_IVM`` overrides the session flag)."""
-        forced = ivm_forced()
-        if forced is not None:
-            return forced
-        return True if self.ivm is None else self.ivm
-
     def _refresh_cache(self, mutated: set[str]) -> None:
         """Bring the probe cache in line with applied mutations.
 
@@ -1004,7 +995,7 @@ class UpdateSession:
         and the FK-cascade closure of *mutated* is invalidated
         wholesale.
         """
-        if self._ivm_active():
+        if self.ivm:
             self.cache.maintain(self.db, self.db.deltas.take())
         else:
             self.cache.invalidate(self._cascade_closure(mutated))

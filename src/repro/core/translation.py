@@ -31,7 +31,6 @@ from ..rdb.ivm import (
     DeltaEvent,
     IncrementalView,
     IvmError,
-    ivm_forced,
 )
 from ..rdb.optimizer import ConjunctInfo
 from ..rdb.plan import FromItem, OutputColumn, SelectPlan, execute_select
@@ -381,16 +380,14 @@ class ProbeCache:
         Each hot entry applies exactly the routed events newer than the
         state its rows reflect.  Entries that cannot be maintained —
         bulk markers in their delta, a plan the maintenance compiler
-        declined, a routed delta over ``db.ivm_threshold`` (unless
-        ``REPRO_IVM=1`` forces it), or a multiplicity conflict — are
-        dropped, which makes the next probe recompute them; so is every
-        cold key (requested once: no evidence it will ever be served
-        again) at its first event on any relation it reads.  Returns
-        the entries maintained.
+        declined, a routed delta over ``db.ivm_threshold``, or a
+        multiplicity conflict — are dropped, which makes the next probe
+        recompute them; so is every cold key (requested once: no
+        evidence it will ever be served again) at its first event on
+        any relation it reads.  Returns the entries maintained.
         """
         if not events:
             return 0
-        forced = ivm_forced()
         maintained = 0
         for key, routed in self._route(events).items():
             entry = self._entries[key]
@@ -405,7 +402,7 @@ class ProbeCache:
             delta_rows = sum(
                 2 if event.kind == UPDATE else 1 for event in relevant
             )
-            if not drop and forced is not True and delta_rows > db.ivm_threshold:
+            if not drop and delta_rows > db.ivm_threshold:
                 drop = True
             if not drop and entry.view is None:
                 try:

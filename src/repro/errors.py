@@ -208,7 +208,7 @@ class PlanVerificationError(FatalError):
     """The plan-IR verifier rejected a lowered physical tree.
 
     Raised by :func:`repro.analysis.planlint.verify_or_raise` when the
-    ``REPRO_PLAN_VERIFY=1`` debug hook is armed and a lowered operator
+    ``db.verify_plans`` debug hook is armed and a lowered operator
     tree violates a structural invariant (unbound column, double-used
     leaf, join-key type mismatch, estimate above its input bound, ...).
 

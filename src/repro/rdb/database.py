@@ -169,9 +169,14 @@ class Database:
         #: session opts in, so loads and engine-only workloads pay nothing
         self.deltas = DeltaLog()
         #: maintenance cost ceiling: a cached probe whose pending delta
-        #: exceeds this many rows recomputes instead (the ``REPRO_IVM``
-        #: environment variable overrides per run)
-        self.ivm_threshold = 256
+        #: exceeds this many rows recomputes instead (``math.inf``
+        #: maintains every delta)
+        self.ivm_threshold: float = 256
+        #: debug hook: statically verify every lowered plan and every
+        #: maintenance plan before it compiles
+        #: (:mod:`repro.analysis.planlint`), raising
+        #: :class:`~repro.errors.PlanVerificationError` on any finding
+        self.verify_plans = False
         #: bumped when the FK graph can change (CREATE/DROP of non-temp
         #: relations) — sessions key their cascade-closure memo on it;
         #: temp-table churn must not thrash that memo
@@ -649,13 +654,17 @@ class Database:
         return rowid
 
     # The two batch primitives run the same steps as the single-row
-    # ones, in the same order, except that index upkeep is hoisted out
-    # of the row loop: per row the undo image is journaled, the table
-    # mutated, the statistics and the delta log told; then each index
-    # applies the whole batch at once.  The index upkeep runs in a
-    # ``finally`` over the rows whose table change landed, so a fault
-    # at row k still indexes rows 1..k-1: a resumed undo picks rows by
-    # table presence and would never revisit them.
+    # ones, except that index upkeep is hoisted out of the row loop: per
+    # row the undo image is journaled, the table mutated, the statistics
+    # and the delta log told; each index applies the whole batch at
+    # once.  Index upkeep sits on the side of the table change that
+    # keeps a torn batch repairable, because a resumed undo picks rows
+    # by table presence: a delete leaves every index first, so a fault
+    # anywhere leaves rows still stored that the resumed undo deletes
+    # again; a restore indexes, in a ``finally``, the rows whose table
+    # change landed, so a fault at row k still indexes rows 1..k-1.
+    # Re-removing an absent entry and re-adding a present one are both
+    # no-ops.
 
     def _physical_delete_rows(
         self, relation_name: str, rowids: Sequence[int]
@@ -664,21 +673,15 @@ class Database:
         self._bump_data_version(relation_name, len(rowids))
         table = self.table(relation_name)
         record = self.deltas.enabled and not self._replaying
-        removed: list[tuple[int, Row]] = []
-        try:
-            for rowid in rowids:
-                self._journal_undo(
-                    "delete", relation_name, rowid, table.get(rowid)
-                )
-                row = table.delete_row(rowid)
-                removed.append((rowid, row))
-                self.statistics.on_delete(relation_name, row)
-                if record:
-                    self.deltas.record_delete(relation_name, rowid, row)
-        finally:
-            if removed:
-                for index in self.indexes[relation_name]:
-                    index.remove_rows(removed)
+        images = [(rowid, table.get(rowid)) for rowid in rowids]
+        for index in self.indexes[relation_name]:
+            index.remove_rows(images)
+        for rowid, image in images:
+            self._journal_undo("delete", relation_name, rowid, image)
+            row = table.delete_row(rowid)
+            self.statistics.on_delete(relation_name, row)
+            if record:
+                self.deltas.record_delete(relation_name, rowid, row)
 
     def _physical_restore_rows(
         self, relation_name: str, images: Sequence[tuple[int, Mapping[str, Any]]]
@@ -731,35 +734,51 @@ class Database:
 
     @contextmanager
     def _autocommit_journal(self) -> Iterator[None]:
-        """Give a statement outside any transaction its own journal txn.
+        """Give a statement outside any transaction its own undo scope
+        and journal txn.
 
         An auto-commit statement can still be multi-mutation (cascaded
-        deletes, SET NULL fixups): a crash in the middle must be as
-        recoverable as one inside an explicit transaction.  An ordinary
-        exception means the engine kept control — the journal txn is
-        marked resolved and statement semantics stay exactly what they
-        were; only a :class:`~repro.rdb.faults.SimulatedCrash`
-        (``BaseException``) leaves the txn endless for recovery.
+        deletes, SET NULL fixups), so it must be atomic on its own.  An
+        ordinary exception means the engine kept control: the
+        statement's undo log is replayed before the exception goes on,
+        and the journal txn is marked aborted — the statement leaves no
+        trace.  Should that replay itself be interrupted, its tail stays
+        pending, and the journal txn open, for :meth:`rollback` to
+        resume, exactly as after an interrupted rollback.  A
+        :class:`~repro.rdb.faults.SimulatedCrash` (``BaseException``)
+        leaves the journal txn endless for recovery.
         """
-        if self.wal is None or self.txn.active or self._wal_txn is not None \
-                or self._replaying:
+        if self._replaying or not self.txn.open_statement():
             yield
             return
-        self._wal_txn = self.wal.begin_txn()
+        journal = self.wal is not None and self._wal_txn is None
+        if journal:
+            self._wal_txn = self.wal.begin_txn()
+        resumable = False
         try:
             yield
         # repro: allow[REP003] — deliberately blind to SimulatedCrash:
-        # only an *engine-controlled* failure may mark the journal txn
-        # aborted; a crash (BaseException) must leave it endless so
-        # recovery sees it.  Re-raises, never swallows.
+        # only an *engine-controlled* failure may undo the statement and
+        # mark the journal txn aborted; a crash (BaseException) must
+        # leave it endless so recovery sees it.  Re-raises, never
+        # swallows.
         except Exception:
-            self.wal.end_txn(self._wal_txn, "abort")
+            resumable = True  # until the replay completes
+            self._replay_undo(
+                self.txn.close_statement(failed=True), site="undo.rollback"
+            )
+            resumable = False
+            if journal:
+                self.wal.end_txn(self._wal_txn, "abort")
             raise
         else:
-            self.wal.end_txn(self._wal_txn, "commit")
-            self.wal.checkpoint()
+            if journal:
+                self.wal.end_txn(self._wal_txn, "commit")
+                self.wal.checkpoint()
         finally:
-            self._wal_txn = None
+            self.txn.close_statement(failed=False)
+            if journal and not resumable:
+                self._wal_txn = None
 
     def insert(self, relation_name: str, values: Mapping[str, Any]) -> int:
         """INSERT a tuple, enforcing every constraint.  Returns the rowid."""
@@ -1396,6 +1415,10 @@ class Database:
         """
         copy = Database(self.schema)
         copy.oracle_mode = self.oracle_mode
+        copy.verify_plans = self.verify_plans
+        copy.ivm_threshold = self.ivm_threshold
+        copy.replan_threshold = self.replan_threshold
+        copy.replan_min_ops = self.replan_min_ops
         for relation_name, table in self.tables.items():
             if relation_name not in copy.tables:  # temp tables
                 copy.create_temp_table(relation_name, table.columns)

@@ -46,13 +46,13 @@ Fallbacks (counted in ``db.stats['ivm_fallbacks']``): bulk markers
 than ``db.ivm_threshold``, and any multiplicity the maintained state
 cannot absorb (:class:`IvmError` — never wrong results, always a
 recompute).
-``REPRO_IVM=0`` forces the old invalidate-and-recompute path;
-``REPRO_IVM=1`` forces maintenance regardless of the threshold.
+``UpdateSession(ivm=False)`` keeps the old invalidate-and-recompute
+path; ``db.ivm_threshold = math.inf`` maintains regardless of delta
+size.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
@@ -78,7 +78,6 @@ __all__ = [
     "MaintenancePlan",
     "UPDATE",
     "compile_maintenance",
-    "ivm_forced",
 ]
 
 Row = dict[str, Any]
@@ -95,16 +94,6 @@ BULK = "!"
 
 class IvmError(ReproError):
     """Maintenance cannot proceed (the caller falls back to recompute)."""
-
-
-def ivm_forced() -> Optional[bool]:
-    """The ``REPRO_IVM`` override: None (threshold-driven policy),
-    False (``"0"``: force invalidate-and-recompute) or True (force
-    maintenance regardless of ``db.ivm_threshold``)."""
-    value = os.environ.get("REPRO_IVM", "")
-    if value == "":
-        return None
-    return value != "0"
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +412,9 @@ def compile_maintenance(
             return None
         rules[delta_name] = DeltaRule(delta_name, own, tuple(levels))
     mplan = MaintenancePlan(plan=plan, names=names, rules=rules)
-    from ..analysis.planlint import plan_verify_enabled, verify_maintenance_or_raise
+    if db.verify_plans:
+        from ..analysis.planlint import verify_maintenance_or_raise
 
-    if plan_verify_enabled():
         verify_maintenance_or_raise(db, mplan)
     return mplan
 

@@ -36,7 +36,6 @@ tests and benchmarks.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
@@ -700,10 +699,10 @@ def lower_rowid_plan(
 def _verify_lowered(
     db: Database, root: PlanNode, expected_names: Sequence[str]
 ) -> None:
-    """Debug hook: statically verify the lowered tree when the
-    ``REPRO_PLAN_VERIFY`` environment variable arms it (lazy import —
-    the verifier lives above the engine, in :mod:`repro.analysis`)."""
-    if os.environ.get("REPRO_PLAN_VERIFY", "") in ("", "0"):
+    """Debug hook: statically verify the lowered tree when
+    ``db.verify_plans`` arms it (lazy import — the verifier lives above
+    the engine, in :mod:`repro.analysis`)."""
+    if not db.verify_plans:
         return
     from ..analysis.planlint import verify_or_raise
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence
 
 from ..errors import TransactionError
 
@@ -44,7 +44,8 @@ class TransactionManager:
     """Single-level transaction scope over a database.
 
     The database calls :meth:`record` on every physical mutation; when
-    no transaction is active the record is discarded (auto-commit).
+    no transaction is active the record goes to the enclosing auto-commit
+    statement's scope (:meth:`open_statement`), or is discarded.
     """
 
     def __init__(self) -> None:
@@ -56,6 +57,8 @@ class TransactionManager:
         #: Kept as a stack (the next action to undo is last), so that
         #: confirming a replayed group is one slice delete off the end
         self._pending: list[UndoAction] = []
+        #: undo log of the running auto-commit statement, if any
+        self._statement: Optional[list[UndoAction]] = None
         #: statistics for benchmarks: undo records written / replayed
         self.records_written = 0
         self.records_replayed = 0
@@ -88,6 +91,31 @@ class TransactionManager:
         if self._active:
             self._log.append(action)
             self.records_written += 1
+        elif self._statement is not None:
+            self._statement.append(action)
+
+    def open_statement(self) -> bool:
+        """Start recording an auto-commit statement's undo actions.
+
+        Returns False, and records nothing, inside a transaction (its
+        own log covers the statement) or inside an enclosing statement.
+        """
+        if self._active or self._statement is not None:
+            return False
+        self._statement = []
+        return True
+
+    def close_statement(self, failed: bool) -> list[UndoAction]:
+        """End the statement scope (a no-op once ended).  A successful
+        statement's log is dropped; a failed one's is staged on the
+        pending tail, exactly like a rollback's
+        (:meth:`take_rollback_log`), and handed back newest first for
+        replay."""
+        log, self._statement = self._statement or [], None
+        if not failed:
+            return []
+        self._pending.extend(log)
+        return log[::-1]
 
     def commit(self) -> None:
         if not self._active:
@@ -146,6 +174,7 @@ class TransactionManager:
         self._active = False
         self._log.clear()
         self._pending.clear()
+        self._statement = None
 
     # -- savepoints ----------------------------------------------------------
 

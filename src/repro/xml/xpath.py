@@ -104,7 +104,9 @@ def _make_step(
     if predicate is None:
         return PathStep(name=name, descendant=descendant)
     predicate = predicate.strip()
-    if predicate.isdigit():
+    # ASCII digits only: str.isdigit() also accepts "²" and friends,
+    # which int() then rejects
+    if re.fullmatch(r"[0-9]+", predicate):
         index = int(predicate)
         if index < 1:
             raise XPathError(f"positions are 1-based in {original!r}")

@@ -3,13 +3,12 @@
 A clean lowered tree must verify with no findings; hand-corrupted
 trees — built from the physical node constructors directly, the way a
 lowering bug would build them — must each trip exactly the intended
-check.  The sweep smoke test runs the whole seeded scenario pipeline
-with ``REPRO_PLAN_VERIFY=1`` armed.
+check.  The sweep smoke test runs the whole seeded scenario pipeline,
+which arms ``db.verify_plans`` on every database it builds.
 """
 
 import pytest
 
-from repro.analysis import planlint
 from repro.analysis.planlint import (
     CHECK_ESTIMATE,
     CHECK_KEY_TYPES,
@@ -18,12 +17,11 @@ from repro.analysis.planlint import (
     CHECK_UNBOUND_COLUMN,
     CHECK_UNKNOWN_COLUMN,
     CHECK_UNKNOWN_RELATION,
-    plan_verify_enabled,
-    sweep_plans,
     verified_plan_count,
     verify_or_raise,
     verify_plan,
 )
+from repro.core.scenario_gen import run_many
 from repro.errors import PlanVerificationError
 from repro.rdb.expr import ColumnRef, Comparison, Literal
 from repro.rdb.plan import (
@@ -204,18 +202,16 @@ def test_verify_or_raise_carries_findings_and_plan(db):
     assert "Scan book" in error.plan_text
 
 
-def test_env_hook_arms_lowering(db, monkeypatch):
+def test_verify_plans_arms_lowering(db):
     plan = SelectPlan(from_items=[FromItem("book")])
     logical = LogicalPlan.build(plan)
 
-    monkeypatch.delenv("REPRO_PLAN_VERIFY", raising=False)
-    assert not plan_verify_enabled()
+    assert not db.verify_plans
     before = verified_plan_count()
     lower_select(db, logical)
     assert verified_plan_count() == before
 
-    monkeypatch.setenv("REPRO_PLAN_VERIFY", "1")
-    assert plan_verify_enabled()
+    db.verify_plans = True
     lower_select(db, logical)
     assert verified_plan_count() == before + 1
 
@@ -224,12 +220,9 @@ def test_env_hook_arms_lowering(db, monkeypatch):
 # scenario sweep
 # ---------------------------------------------------------------------------
 
-def test_sweep_plans_smoke():
-    report = sweep_plans(2, seed=0)
-    assert report.ok, report.describe()
-    assert report.scenarios == 2
-    assert report.plans_verified > 0
-    assert "OK" in report.describe()
-    assert report.to_dict()["ok"] is True
-    # the sweep restores the environment it found
-    assert not planlint.plan_verify_enabled()
+def test_scenario_sweep_verifies_plans():
+    before = verified_plan_count()
+    summary = run_many(2, seed=0)
+    assert summary.scenarios == 2
+    assert summary.divergences == []
+    assert verified_plan_count() > before

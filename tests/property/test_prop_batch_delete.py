@@ -328,12 +328,16 @@ def _site_hits(run, site):
 
 
 @pytest.mark.parametrize(
-    "site", ["table.restore", "table.delete", "index.add_rows"]
+    "site",
+    ["table.restore", "table.delete", "index.add_rows", "index.remove_rows"],
 )
 def test_fault_inside_a_group_leaves_a_resumable_rollback(site):
     """A fault at a table or index site in the middle of a batch
-    primitive still indexes the rows whose table change landed, so the
-    resumed rollback restores the pre-state with consistent indexes."""
+    primitive leaves a tear the resumed rollback repairs: a restore
+    still indexes the rows whose table change landed, and a delete
+    leaves the indexes before the table, so its rows are still stored
+    for the resumed undo to delete again.  The rollback restores the
+    pre-state with consistent indexes."""
     hits = _site_hits(lambda: _batch_transaction()[0], site)
     assert hits > 1
     clean, _ = _batch_transaction()
@@ -352,14 +356,16 @@ def test_fault_inside_a_group_leaves_a_resumable_rollback(site):
 
 
 def test_fault_inside_an_autocommit_cascade_leaves_consistent_indexes():
-    """An auto-commit delete has no rollback: a fault at its k-th row
-    leaves the rows before it deleted, from the table and every index."""
+    """An auto-commit delete is its own statement-scoped transaction: a
+    fault at its k-th row undoes the rows before it, from the table and
+    every index."""
     def run():
         db = books.build_book_database()
         db.analyze()
         return db
 
     db = run()
+    before = snapshot(db)
     db.faults.start_recording()
     db.delete("publisher", db.find_rowids("publisher", {"pubid": "A01"}))
     hits = sum(
@@ -371,6 +377,8 @@ def test_fault_inside_an_autocommit_cascade_leaves_consistent_indexes():
         db.faults.arm(FaultPlan(at=k, site="table.delete", action="error"))
         with pytest.raises(FaultInjectedError):
             db.delete("publisher", db.find_rowids("publisher", {"pubid": "A01"}))
+        assert db.txn.pending == 0
+        assert snapshot(db) == before
         assert db.verify_integrity() == []
 
 

@@ -204,6 +204,109 @@ class TestUpdate:
         assert count == 2
 
 
+def _fk_world(children):
+    """Parent ``p`` (one row, id 1) plus, per ``(name, parent, policy,
+    not_null)``, a relation whose one row (id 1) references row 1 of
+    *parent* through ``pid``."""
+    relations = [Relation("p", [Attribute("id", "INTEGER")], [PrimaryKey(("id",))])]
+    for name, parent, policy, not_null in children:
+        constraints = [
+            PrimaryKey(("id",)),
+            ForeignKey(("pid",), parent, ("id",), on_delete=policy),
+        ]
+        if not_null:
+            constraints.append(NotNull("pid"))
+        relations.append(Relation(
+            name, [Attribute("id", "INTEGER"), Attribute("pid", "INTEGER")],
+            constraints,
+        ))
+    db = Database(Schema(relations))
+    db.insert("p", {"id": 1})
+    for name, *_ in children:
+        db.insert(name, {"id": 1, "pid": 1})
+    return db
+
+
+def _image(db):
+    """Rows, index buckets and exact statistics of every relation."""
+    state = {}
+    for name, table in db.tables.items():
+        stats = db.statistics.peek(name)
+        state[name] = (
+            dict(table.scan()),
+            [(index.name, index.entries()) for index in db.indexes[name]],
+            None if stats is None else (stats.row_count, dict(stats.null_counts)),
+        )
+    return state
+
+
+def _cascade_into_restrict():
+    db = _fk_world([
+        ("c", "p", DeletePolicy.CASCADE, False),
+        ("d", "p", DeletePolicy.CASCADE, False),
+        ("g", "d", DeletePolicy.RESTRICT, False),
+    ])
+    return db, lambda: db.delete("p", [1]), ForeignKeyViolation
+
+
+def _cascade_into_not_null():
+    db = _fk_world([
+        ("c", "p", DeletePolicy.CASCADE, False),
+        ("n", "p", DeletePolicy.SET_NULL, True),
+    ])
+    return db, lambda: db.delete("p", [1]), NotNullViolation
+
+
+def _update_where_into_unique():
+    db = _db()
+    # the second publisher renamed to the first's name breaks UNIQUE
+    return db, lambda: db.update_where(
+        "publisher", None, {"pubname": "Zed"}
+    ), UniqueViolation
+
+
+class TestAutocommitStatements:
+    """A statement outside any transaction that fails part-way leaves
+    no trace: rows, indexes, statistics and the journal are as before."""
+
+    @pytest.mark.parametrize("wal", [False, True], ids=["no-wal", "wal"])
+    @pytest.mark.parametrize(
+        "world",
+        [_cascade_into_restrict, _cascade_into_not_null, _update_where_into_unique],
+    )
+    def test_failed_statement_is_undone(self, world, wal):
+        db, statement, error = world()
+        db.analyze()
+        if wal:
+            db.attach_wal()
+        before = _image(db)
+        with pytest.raises(error):
+            statement()
+        assert _image(db) == before
+        assert db.verify_integrity() == []
+        assert db.txn.pending == 0 and not db.txn.active
+        if wal:
+            assert db.wal.incomplete_txns() == {}
+            assert db.recover().transactions == []
+            assert _image(db) == before
+
+    def test_interrupted_statement_undo_resumes_through_rollback(self):
+        from repro.rdb import FaultInjectedError, FaultPlan
+
+        db, statement, _error = _cascade_into_restrict()
+        db.attach_wal()
+        before = _image(db)
+        db.faults.arm(FaultPlan(at=1, site="undo.rollback", action="error"))
+        with pytest.raises(FaultInjectedError):
+            statement()
+        assert db.txn.pending == 1  # c's delete, still to be undone
+        assert db.rollback() == 1
+        assert db.txn.pending == 0
+        assert _image(db) == before
+        assert db.verify_integrity() == []
+        assert db.wal.incomplete_txns() == {}
+
+
 class TestTransactions:
     def test_rollback_restores_insert(self):
         db = _db()
@@ -259,6 +362,18 @@ class TestCloneAndTempTables:
         copy = db.clone()
         for name in db.tables:
             assert dict(db.table(name).scan()) == dict(copy.table(name).scan())
+
+    def test_clone_carries_engine_knobs(self):
+        db = _db()
+        db.oracle_mode = True
+        db.verify_plans = True
+        db.ivm_threshold = float("inf")
+        db.replan_threshold = 0.0
+        db.replan_min_ops = 0
+        copy = db.clone()
+        for knob in ("oracle_mode", "verify_plans", "ivm_threshold",
+                     "replan_threshold", "replan_min_ops"):
+            assert getattr(copy, knob) == getattr(db, knob), knob
 
     def test_clone_is_independent(self):
         db = _db()

@@ -7,9 +7,17 @@ later events of one drain are unwound before a join completes), and
 the :class:`ProbeCache` fallback taxonomy with its counters.
 """
 
+import dataclasses
+import math
+
 import pytest
 
+from repro.analysis.planlint import (
+    verified_plan_count,
+    verify_maintenance_or_raise,
+)
 from repro.core import UpdateSession
+from repro.errors import PlanVerificationError
 from repro.rdb import (
     Comparison,
     FromItem,
@@ -29,7 +37,6 @@ from repro.rdb.ivm import (
     IncrementalView,
     IvmError,
     compile_maintenance,
-    ivm_forced,
 )
 from repro.workloads import books, chains
 
@@ -406,8 +413,7 @@ def assert_entry_current(db, entry):
     )
 
 
-def test_session_maintains_hot_probe_entries(monkeypatch):
-    monkeypatch.delenv("REPRO_IVM", raising=False)
+def test_session_maintains_hot_probe_entries():
     db = chains.build_chain_db(seed_parents=4)
     session = UpdateSession(db, chains.CHAIN_VIEW, ivm=True)
     run_guarded_round(session, 0)  # context probe still cold here
@@ -424,9 +430,7 @@ def test_session_maintains_hot_probe_entries(monkeypatch):
     assert stats["ivm_delta_rows"] >= stats["ivm_maintained"]
 
 
-def test_threshold_falls_back_to_recompute(monkeypatch):
-    monkeypatch.delenv("REPRO_IVM", raising=False)
-    assert ivm_forced() is None
+def test_threshold_falls_back_to_recompute():
     db = chains.build_chain_db(seed_parents=4)
     db.ivm_threshold = 0  # any routed delta is "too large"
     session = UpdateSession(db, chains.CHAIN_VIEW, ivm=True)
@@ -444,11 +448,11 @@ def test_threshold_falls_back_to_recompute(monkeypatch):
     assert db.stats["ivm_maintained"] == 0
 
 
-def test_forced_maintenance_overrides_threshold(monkeypatch):
-    monkeypatch.setenv("REPRO_IVM", "1")
-    assert ivm_forced() is True
+def test_unbounded_threshold_maintains_what_zero_drops():
+    """``ivm_threshold = math.inf`` maintains the very deltas that
+    threshold 0 drops in :func:`test_threshold_falls_back_to_recompute`."""
     db = chains.build_chain_db(seed_parents=4)
-    db.ivm_threshold = 0
+    db.ivm_threshold = math.inf
     session = UpdateSession(db, chains.CHAIN_VIEW)
     for k in range(2):
         run_guarded_round(session, k)
@@ -460,10 +464,44 @@ def test_forced_maintenance_overrides_threshold(monkeypatch):
     assert_entry_current(db, entry)
 
 
-def test_forced_off_invalidates(book_db, monkeypatch):
-    monkeypatch.setenv("REPRO_IVM", "0")
-    assert ivm_forced() is False
-    session = UpdateSession(book_db, books.BOOK_VIEW_QUERY)
+def test_verify_plans_checks_maintenance_lowering():
+    """With ``db.verify_plans`` armed, the maintenance compile a hot
+    guarded entry triggers passes the maintenance-plan verifier."""
+    db = chains.build_chain_db(seed_parents=4)
+    db.verify_plans = True
+    session = UpdateSession(db, chains.CHAIN_VIEW)
+    for k in range(2):
+        run_guarded_round(session, k)
+    before = verified_plan_count()
+    result = run_guarded_round(session, 2)
+    assert result.ivm_maintained > 0
+    assert verified_plan_count() > before
+    assert_entry_current(db, hot_context_entry(session))
+
+
+def test_maintenance_verifier_counts_clean_compiles(db):
+    db.verify_plans = True
+    before = verified_plan_count()
+    assert compile_maintenance(db, reviewed_plan()) is not None
+    assert verified_plan_count() == before + 1
+
+
+def test_corrupted_maintenance_plan_is_rejected(db):
+    mplan = compile_maintenance(db, reviewed_plan())
+    review = mplan.rules["review"]
+    # a lowering that forgot the review rule's join level would apply
+    # its book conjuncts nowhere
+    corrupted = dataclasses.replace(
+        mplan,
+        rules={**mplan.rules, "review": dataclasses.replace(review, levels=())},
+    )
+    with pytest.raises(PlanVerificationError) as excinfo:
+        verify_maintenance_or_raise(db, corrupted)
+    assert any("review" in finding for finding in excinfo.value.findings)
+
+
+def test_forced_off_invalidates(book_db):
+    session = UpdateSession(book_db, books.BOOK_VIEW_QUERY, ivm=False)
     run_insert(session, "310")
     assert not book_db.deltas.enabled or len(book_db.deltas) == 0
     assert book_db.stats["ivm_maintained"] == 0

@@ -300,3 +300,58 @@ def test_reordered_output_order_matches_naive(db):
     naive = execute_select(db, plan, optimize=False)
     assert db.stats["reorders"] == 1
     assert optimized == naive  # order included: sorted on FROM-order rowids
+
+
+def test_greedy_tree_above_dp_limit_matches_naive(tpch_tiny_db, monkeypatch):
+    """Seven relations exceed ``MAX_DP_RELATIONS``: the join order comes
+    from the greedy left-deep fallback, and its rows must equal the
+    interpreted oracle's, order included."""
+    from repro.rdb import conjoin, optimizer
+
+    greedy_calls = []
+    greedy = optimizer._greedy_tree
+
+    def spy(*args):
+        greedy_calls.append(len(args[1]))
+        return greedy(*args)
+
+    monkeypatch.setattr(optimizer, "_greedy_tree", spy)
+    db = tpch_tiny_db
+    order_key = db.rows("orders")[0]["o_orderkey"]
+    plan = SelectPlan(
+        from_items=[
+            FromItem("lineitem", alias="l"),
+            FromItem("orders", alias="o"),
+            FromItem("customer", alias="c"),
+            FromItem("nation", alias="n"),
+            FromItem("region", alias="r"),
+            FromItem("nation", alias="n2"),
+            FromItem("customer", alias="c2"),
+        ],
+        columns=[
+            OutputColumn("l_linenumber", "l"),
+            OutputColumn("c_name", "c"),
+            OutputColumn("r_name", "r"),
+            OutputColumn("n_name", "n2", label="peer_nation"),
+            OutputColumn("c_name", "c2", label="peer"),
+        ],
+        where=conjoin(
+            [
+                Comparison("=", col("l.l_orderkey"), col("o.o_orderkey")),
+                Comparison("=", col("o.o_custkey"), col("c.c_custkey")),
+                Comparison("=", col("c.c_nationkey"), col("n.n_nationkey")),
+                Comparison("=", col("n.n_regionkey"), col("r.r_regionkey")),
+                Comparison("=", col("n2.n_regionkey"), col("r.r_regionkey")),
+                Comparison("=", col("c2.c_nationkey"), col("n2.n_nationkey")),
+                Comparison("=", col("o.o_orderkey"), lit(order_key)),
+            ]
+        ),
+    )
+    assert len(plan.from_items) > optimizer.MAX_DP_RELATIONS
+    optimized = execute_select(db, plan)
+    assert greedy_calls == [7]
+    naive = execute_select(db, plan, optimize=False)
+    assert len(optimized) > 1  # the order's lineitems times its peers
+    assert [list(row.items()) for row in optimized] == [
+        list(row.items()) for row in naive
+    ]

@@ -78,3 +78,32 @@ def test_new_transaction_starts_clean():
     txn.commit()
     txn.begin()
     assert txn.log_length == 0
+
+
+def test_statement_scope_records_outside_transactions():
+    txn = TransactionManager()
+    assert txn.open_statement()
+    assert not txn.open_statement()  # nested statements share the scope
+    first = UndoAction(UndoKind.INSERT, "t", 1)
+    second = UndoAction(UndoKind.DELETE, "t", 2)
+    txn.record(first)
+    txn.record(second)
+    assert txn.log_length == 0 and txn.records_written == 0
+    # a failed statement's log is staged like a rollback's, newest first
+    assert txn.close_statement(failed=True) == [second, first]
+    assert txn.pending == 2
+    assert txn.close_statement(failed=True) == []  # already closed
+    txn.confirm_undone([second, first])
+    assert txn.pending == 0
+    assert txn.open_statement()
+    txn.record(first)
+    assert txn.close_statement(failed=False) == []
+    assert txn.pending == 0
+
+
+def test_no_statement_scope_inside_a_transaction():
+    txn = TransactionManager()
+    txn.begin()
+    assert not txn.open_statement()
+    txn.record(UndoAction(UndoKind.INSERT, "t", 1))
+    assert txn.log_length == 1

@@ -99,5 +99,13 @@ def test_zero_position_rejected():
         parse_path("book[0]")
 
 
+@pytest.mark.parametrize("digit", ["²", "٣", "３"])
+def test_non_ascii_digit_position_rejected(digit):
+    # str.isdigit() accepts these; int() rejects "²" with a bare
+    # ValueError and silently reads "٣" and "３" as 3
+    with pytest.raises(XPathError):
+        parse_path(f"a/b[{digit}]")
+
+
 def test_no_match_returns_empty():
     assert evaluate_path(DOC, "magazine") == []

@@ -519,6 +519,11 @@ class Translator:
         self.db = db
         self.asg = asg
         self.cache = cache
+        # schema-level results per view node, keyed by ``id(node)``; each
+        # value holds its node, so the id cannot be reused while cached
+        # (the ASG is immutable once built: bindings are frozensets)
+        self._republished: dict[int, tuple[ViewNode, frozenset[str]]] = {}
+        self._subtrees: dict[int, tuple[ViewNode, tuple[ViewNode, ...]]] = {}
 
     # ------------------------------------------------------------------
     # probe queries
@@ -753,7 +758,7 @@ class Translator:
 
     def subtree_internal_nodes(
         self, op: OpResolution
-    ) -> tuple[ViewNode, list[ViewNode]]:
+    ) -> tuple[ViewNode, tuple[ViewNode, ...]]:
         """The delete subject plus its internal subtree, TOP first.
 
         Used by the *expanded* translation mode: one DELETE statement
@@ -770,13 +775,16 @@ class Translator:
         while subject.kind not in (NodeKind.INTERNAL, NodeKind.ROOT):
             assert subject.parent is not None
             subject = subject.parent
-        members = [
-            member
-            for member in subject.iter_subtree()
-            if member.kind is NodeKind.INTERNAL
-        ]
-        members.sort(key=lambda member: len(list(member.ancestors())))
-        return subject, members
+        cached = self._subtrees.get(id(subject))
+        if cached is None or cached[0] is not subject:
+            members = [
+                member
+                for member in subject.iter_subtree()
+                if member.kind is NodeKind.INTERNAL
+            ]
+            members.sort(key=lambda member: len(list(member.ancestors())))
+            cached = self._subtrees[id(subject)] = (subject, tuple(members))
+        return subject, cached[1]
 
     def member_deletes(
         self,
@@ -818,14 +826,18 @@ class Translator:
             )
         return deletes, notes
 
-    def _republished_relations(self, node: ViewNode) -> set[str]:
-        subtree = {id(member) for member in node.iter_subtree()}
-        republished: set[str] = set()
-        for other in self.asg.internal_nodes():
-            if id(other) in subtree:
-                continue
-            republished |= set(other.uc_binding)
-        return republished
+    def _republished_relations(self, node: ViewNode) -> frozenset[str]:
+        """Relations bound by some internal node outside *node*'s subtree."""
+        cached = self._republished.get(id(node))
+        if cached is None or cached[0] is not node:
+            subtree = {id(member) for member in node.iter_subtree()}
+            republished: set[str] = set()
+            for other in self.asg.internal_nodes():
+                if id(other) in subtree:
+                    continue
+                republished |= other.uc_binding
+            cached = self._republished[id(node)] = (node, frozenset(republished))
+        return cached[1]
 
     def _deletable_shared_tuples(
         self,

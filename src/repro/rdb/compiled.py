@@ -212,7 +212,10 @@ class _ExprCompiler:
             return in_fn
         raise Uncompilable(f"unknown expression node {type(expr).__name__}")
 
-    def _compile_column(self, ref: ColumnRef) -> EvalFn:
+    def resolve(self, ref: ColumnRef) -> Optional[str]:
+        """The one FROM-item name *ref* reads from, or None when an
+        unqualified column names several (ambiguity is tolerated when
+        every candidate agrees — the interpreted resolution decides)."""
         qualifier, column = ref.qualifier, ref.column
         if qualifier is not None:
             known = self.columns_of.get(qualifier)
@@ -220,18 +223,19 @@ class _ExprCompiler:
                 # the interpreted executor reports this lazily (and only
                 # for rows it actually reaches) — preserve that
                 raise Uncompilable(f"unresolvable reference {ref.to_sql()}")
-            return lambda env, params: env[qualifier][column]
+            return qualifier
         candidates = [
             name for name, columns in self.columns_of.items() if column in columns
         ]
-        if len(candidates) == 1:
-            name = candidates[0]
-            return lambda env, params: env[name][column]
         if not candidates:
             raise Uncompilable(f"unknown column {column!r}")
-        # ambiguity is tolerated when every candidate agrees — keep the
-        # interpreted resolution for that rare case
-        return lambda env, params: ref.eval(env)
+        return candidates[0] if len(candidates) == 1 else None
+
+    def _compile_column(self, ref: ColumnRef) -> EvalFn:
+        name, column = self.resolve(ref), ref.column
+        if name is None:
+            return lambda env, params: ref.eval(env)
+        return lambda env, params: env[name][column]
 
 
 def _make_comparison(
@@ -805,14 +809,33 @@ class _TreeCompiler:
 
             base = project_star
         else:
-            getters = [
-                (
-                    column.output_name,
-                    self.expr_compiler.compile(
-                        ColumnRef(column.column, column.qualifier)
-                    ),
-                )
+            refs = [
+                (column.output_name, ColumnRef(column.column, column.qualifier))
                 for column in node.columns
+            ]
+            sources = [self.expr_compiler.resolve(ref) for _label, ref in refs]
+            if None not in sources:
+                # every column is one slot read: build the row in one
+                # comprehension, ROWID keys included
+                reads = [
+                    (label, name, ref.column)
+                    for (label, ref), name in zip(refs, sources)
+                ]
+                if not node.include_rowids:
+                    return lambda env, rowids, params: {
+                        label: env[name][column] for label, name, column in reads
+                    }
+                keys = [(f"{name}.ROWID", name) for name in names]
+
+                def project_slots(env: Env, rowids: dict[str, int], params: Params) -> Row:
+                    row = {label: env[name][column] for label, name, column in reads}
+                    for key, name in keys:
+                        row[key] = rowids[name]
+                    return row
+
+                return project_slots
+            getters = [
+                (label, self.expr_compiler.compile(ref)) for label, ref in refs
             ]
 
             def project_columns(env: Env, rowids: dict[str, int], params: Params) -> Row:

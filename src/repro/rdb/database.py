@@ -614,6 +614,13 @@ class Database:
             self.data_versions.get(relation_name, 0) + count
         )
 
+    def _journals(self) -> bool:
+        """Whether a mutation made now writes its undo image to the
+        journal: a WAL is attached, a journal txn is open, and this is
+        not a rollback replay."""
+        return self.wal is not None and self._wal_txn is not None \
+            and not self._replaying
+
     def _journal_undo(
         self,
         kind: str,
@@ -627,7 +634,7 @@ class Database:
         after a crash by re-running the journal's original records
         (conditional application makes that idempotent).
         """
-        if self.wal is None or self._wal_txn is None or self._replaying:
+        if not self._journals():
             return
         self.faults.hit("wal.record", relation_name)
         self.wal.log_undo(self._wal_txn, kind, relation_name, rowid, old_values)
@@ -654,34 +661,46 @@ class Database:
         return rowid
 
     # The two batch primitives run the same steps as the single-row
-    # ones, except that index upkeep is hoisted out of the row loop: per
-    # row the undo image is journaled, the table mutated, the statistics
-    # and the delta log told; each index applies the whole batch at
-    # once.  Index upkeep sits on the side of the table change that
-    # keeps a torn batch repairable, because a resumed undo picks rows
-    # by table presence: a delete leaves every index first, so a fault
-    # anywhere leaves rows still stored that the resumed undo deletes
-    # again; a restore indexes, in a ``finally``, the rows whose table
-    # change landed, so a fault at row k still indexes rows 1..k-1.
-    # Re-removing an absent entry and re-adding a present one are both
-    # no-ops.
+    # ones, but only the steps that must interleave with the table stay
+    # in the row loop: per row, the undo image is journaled (when the
+    # batch journals at all) and the table mutated.  Every other sink
+    # takes the batch once: each index, and, in a ``finally``, the
+    # statistics and then the delta log, for the rows whose table change
+    # landed, in row order.  Index upkeep sits on the side of the table
+    # change that keeps a torn batch repairable, because a resumed undo
+    # picks rows by table presence: a delete leaves every index first,
+    # so a fault anywhere leaves rows still stored that the resumed undo
+    # deletes again; a restore indexes, in the ``finally``, the rows
+    # whose table change landed, so a fault at row k still indexes rows
+    # 1..k-1.  Re-removing an absent entry and re-adding a present one
+    # are both no-ops.
 
     def _physical_delete_rows(
-        self, relation_name: str, rowids: Sequence[int]
+        self, relation_name: str, images: Sequence[tuple[int, Row]]
     ) -> None:
-        """Remove the stored rows *rowids* (all present) as one batch."""
-        self._bump_data_version(relation_name, len(rowids))
+        """Remove the stored rows of *images*, ``(rowid, stored row)``
+        pairs (all present), as one batch."""
+        self._bump_data_version(relation_name, len(images))
         table = self.table(relation_name)
-        record = self.deltas.enabled and not self._replaying
-        images = [(rowid, table.get(rowid)) for rowid in rowids]
         for index in self.indexes[relation_name]:
             index.remove_rows(images)
-        for rowid, image in images:
-            self._journal_undo("delete", relation_name, rowid, image)
-            row = table.delete_row(rowid)
-            self.statistics.on_delete(relation_name, row)
-            if record:
-                self.deltas.record_delete(relation_name, rowid, row)
+        journal = self._journals()
+        landed = 0
+        try:
+            for rowid, image in images:
+                if journal:
+                    self._journal_undo("delete", relation_name, rowid, image)
+                table.delete_row(rowid)
+                landed += 1
+        finally:
+            if landed:
+                gone = images[:landed]
+                self.statistics.on_delete_rows(
+                    relation_name, [row for _rowid, row in gone]
+                )
+                if self.deltas.enabled and not self._replaying:
+                    for rowid, row in gone:
+                        self.deltas.record_delete(relation_name, rowid, row)
 
     def _physical_restore_rows(
         self, relation_name: str, images: Sequence[tuple[int, Mapping[str, Any]]]
@@ -690,19 +709,21 @@ class Database:
         rowid as one batch: the undo of a delete, and :meth:`clone`."""
         self._bump_data_version(relation_name, len(images))
         table = self.table(relation_name)
-        record = self.deltas.enabled and not self._replaying
+        journal = self._journals()
         stored: list[tuple[int, Row]] = []
         try:
             for rowid, image in images:
-                self._journal_undo("insert", relation_name, rowid)
-                table.restore_row(rowid, image)
-                row = table.get(rowid)
-                stored.append((rowid, row))
-                self.statistics.on_insert(relation_name, row)
-                if record:
-                    self.deltas.record_insert(relation_name, rowid, row)
+                if journal:
+                    self._journal_undo("insert", relation_name, rowid)
+                stored.append((rowid, table.restore_row(rowid, image)))
         finally:
             if stored:
+                self.statistics.on_insert_rows(
+                    relation_name, [row for _rowid, row in stored]
+                )
+                if self.deltas.enabled and not self._replaying:
+                    for rowid, row in stored:
+                        self.deltas.record_insert(relation_name, rowid, row)
                 for index in self.indexes[relation_name]:
                     index.add_rows(stored)
 
@@ -848,7 +869,10 @@ class Database:
             doomed = {}
         doomed.setdefault(relation_name, set()).update(batch)
         fks = self.schema.foreign_keys_into(relation_name)
-        parents = [table.get(rowid) for rowid in batch]
+        # each row image is read once: no row of the batch changes before
+        # it is deleted (a child batch never takes on a doomed row)
+        images = [(rowid, table.get(rowid)) for rowid in batch]
+        parents = [row for _rowid, row in images]
         for fk in fks:
             if fk.on_delete is DeletePolicy.RESTRICT:
                 for children in self._referencing(fk, parents):
@@ -878,14 +902,14 @@ class Database:
                 for child in children:
                     if child in referrer_table:
                         self.update(referrer, child, nulls)
-        batch = [rowid for rowid in batch if rowid in table]
-        for rowid in batch:
-            self.txn.record(
-                UndoAction(UndoKind.DELETE, relation_name, rowid, table.get(rowid))
-            )
-        self._physical_delete_rows(relation_name, batch)
-        self.stats["deletes"] += len(batch)
-        return removed + len(batch)
+        images = [(rowid, row) for rowid, row in images if rowid in table]
+        self.txn.record_all([
+            UndoAction(UndoKind.DELETE, relation_name, rowid, row)
+            for rowid, row in images
+        ])
+        self._physical_delete_rows(relation_name, images)
+        self.stats["deletes"] += len(images)
+        return removed + len(images)
 
     def _referencing(
         self, fk: ForeignKey, parents: Sequence[Row]
@@ -1141,9 +1165,11 @@ class Database:
         set-old-values for the one action of an UPDATE group."""
         table = self.table(relation_name)
         if kind is UndoKind.INSERT:
-            present = list(dict.fromkeys(a.rowid for a in group if a.rowid in table))
+            present = dict.fromkeys(a.rowid for a in group if a.rowid in table)
             if present:
-                self._physical_delete_rows(relation_name, present)
+                self._physical_delete_rows(
+                    relation_name, [(rowid, table.get(rowid)) for rowid in present]
+                )
         elif kind is UndoKind.DELETE:
             images: dict[int, Mapping[str, Any]] = {}
             landed: dict[int, None] = {}

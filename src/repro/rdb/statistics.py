@@ -195,8 +195,8 @@ class ColumnStatistics:
 class TableStatistics:
     """All statistics for one relation, with incremental maintenance.
 
-    ``row_count`` and ``null_counts`` are exact at all times (O(1) per
-    DML).  ``columns`` (distinct counts, histograms) reflect the last
+    ``row_count`` and ``null_counts`` are exact after every DML
+    primitive (O(1) per row; a batch primitive counts its rows at once).  ``columns`` (distinct counts, histograms) reflect the last
     build and drift until :class:`StatisticsManager` rebuilds them.
     """
 
@@ -217,12 +217,22 @@ class TableStatistics:
             if row.get(column) is None:
                 self.null_counts[column] += 1
 
-    def on_delete(self, row: Row) -> None:
-        self.row_count -= 1
-        self.mods_since_build += 1
-        for column in self.null_counts:
-            if row.get(column) is None:
-                self.null_counts[column] -= 1
+    def on_insert_rows(self, rows: Sequence[Row]) -> None:
+        self._count_rows(rows, 1)
+
+    def on_delete_rows(self, rows: Sequence[Row]) -> None:
+        self._count_rows(rows, -1)
+
+    def _count_rows(self, rows: Sequence[Row], sign: int) -> None:
+        """A batch's exact counters: one NULL count per column over
+        the whole batch, added (insert) or taken away (delete)."""
+        self.row_count += sign * len(rows)
+        self.mods_since_build += len(rows)
+        null_counts = self.null_counts
+        for column in null_counts:
+            nulls = len([row for row in rows if row.get(column) is None])
+            if nulls:
+                null_counts[column] += sign * nulls
 
     def on_update(self, old_row: Row, changes: Row) -> None:
         self.mods_since_build += 1
@@ -376,10 +386,17 @@ class StatisticsManager:
         if stats is not None:
             stats.on_insert(row)
 
-    def on_delete(self, relation_name: str, row: Row) -> None:
+    def on_insert_rows(self, relation_name: str, rows: Sequence[Row]) -> None:
+        """:meth:`on_insert` for a batch of stored rows."""
         stats = self._tables.get(relation_name)
         if stats is not None:
-            stats.on_delete(row)
+            stats.on_insert_rows(rows)
+
+    def on_delete_rows(self, relation_name: str, rows: Sequence[Row]) -> None:
+        """Count out a batch of deleted rows."""
+        stats = self._tables.get(relation_name)
+        if stats is not None:
+            stats.on_delete_rows(rows)
 
     def on_update(self, relation_name: str, old_row: Row, changes: Row) -> None:
         stats = self._tables.get(relation_name)

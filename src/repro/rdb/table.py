@@ -52,15 +52,19 @@ class Table:
         self._rows[rowid] = row
         return rowid
 
-    def restore_row(self, rowid: int, values: Mapping[str, Any]) -> None:
-        """Re-insert a previously deleted row under its old rowid (undo)."""
+    def restore_row(self, rowid: int, values: Mapping[str, Any]) -> Row:
+        """Re-insert a previously deleted row under its old rowid (undo);
+        returns the stored row."""
         self.faults.hit("table.restore", self.relation_name)
         if rowid in self._rows:
             raise DatabaseError(
                 f"rowid {rowid} already present in {self.relation_name}"
             )
-        self._rows[rowid] = {column: values.get(column) for column in self.columns}
+        row = self._rows[rowid] = {
+            column: values.get(column) for column in self.columns
+        }
         self._next_rowid = max(self._next_rowid, rowid + 1)
+        return row
 
     def delete_row(self, rowid: int) -> Row:
         """Remove and return the row stored under *rowid*."""

@@ -94,6 +94,14 @@ class TransactionManager:
         elif self._statement is not None:
             self._statement.append(action)
 
+    def record_all(self, actions: Sequence[UndoAction]) -> None:
+        """:meth:`record` for a batch of actions, in order."""
+        if self._active:
+            self._log.extend(actions)
+            self.records_written += len(actions)
+        elif self._statement is not None:
+            self._statement.extend(actions)
+
     def open_statement(self) -> bool:
         """Start recording an auto-commit statement's undo actions.
 

@@ -772,14 +772,13 @@ class DataChecker:
                         if value is not None:
                             view_row[f"{insert.relation}.{attribute}"] = value
                 try:
+                    planned = view.plan_insert(view_row)
                     if execute:
-                        issued = view.insert(view_row)
-                        result.statements.extend(issued)
+                        issued = view.apply_insert(planned)
                         result.rows_affected += len(issued)
                     else:
-                        result.statements.append(
-                            f"INSERT INTO MappingView VALUES ({len(view_row)} cols)"
-                        )
+                        issued = [sql for _relation, _values, sql in planned]
+                    result.statements.extend(issued)
                 except ConstraintViolation as exc:
                     result.ok = False
                     result.conflict = f"relational view rejected the update: {exc}"

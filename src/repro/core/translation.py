@@ -728,9 +728,8 @@ class Translator:
             )
         notes: list[str] = []
         deletes: list[TupleDelete] = []
-        primary_rowids = {
-            row[f"{source}.ROWID"] for row in probe.rows if f"{source}.ROWID" in row
-        }
+        key = f"{source}.ROWID"
+        primary_rowids = {row[key] for row in probe.rows if key in row}
         deletes.append(
             TupleDelete(
                 relation=source,
@@ -776,7 +775,7 @@ class Translator:
             assert subject.parent is not None
             subject = subject.parent
         cached = self._subtrees.get(id(subject))
-        if cached is None or cached[0] is not subject:
+        if cached is None:
             members = [
                 member
                 for member in subject.iter_subtree()
@@ -811,11 +810,8 @@ class Translator:
                     f"elsewhere in the view"
                 )
                 continue
-            rowids = {
-                row[f"{relation}.ROWID"]
-                for row in probe.rows
-                if f"{relation}.ROWID" in row
-            }
+            key = f"{relation}.ROWID"
+            rowids = {row[key] for row in probe.rows if key in row}
             deletes.append(
                 TupleDelete(
                     relation=relation,
@@ -829,7 +825,7 @@ class Translator:
     def _republished_relations(self, node: ViewNode) -> frozenset[str]:
         """Relations bound by some internal node outside *node*'s subtree."""
         cached = self._republished.get(id(node))
-        if cached is None or cached[0] is not node:
+        if cached is None:
             subtree = {id(member) for member in node.iter_subtree()}
             republished: set[str] = set()
             for other in self.asg.internal_nodes():

@@ -177,15 +177,18 @@ class MappingRelationalView:
 
     # ------------------------------------------------------------------
 
-    def insert(self, view_row: Mapping[str, Any]) -> list[str]:
-        """Insert a full view tuple; returns the SQL issued on base tables.
+    def plan_insert(self, view_row: Mapping[str, Any]) -> list[tuple[str, Row, str]]:
+        """Decompose a full view tuple into base-table inserts, without
+        touching the database: ``(relation, values, SQL)`` per insert,
+        parent first.
 
         Standard LEFT-JOIN view-insert decomposition: walk the chain
         parent-first; per relation, skip when the keyed tuple already
-        exists with consistent values, insert otherwise.  Keys use the
-        ``relation.attribute`` naming of :attr:`columns`.
+        exists with consistent values, insert otherwise (an existing
+        tuple with conflicting values raises :class:`UniqueViolation`).
+        Keys use the ``relation.attribute`` naming of :attr:`columns`.
         """
-        issued: list[str] = []
+        planned: list[tuple[str, Row, str]] = []
         for relation in self.chain:
             relation_schema = self.db.relation(relation)
             values = {
@@ -216,11 +219,21 @@ class MappingRelationalView:
                 sql_literal(values[attribute])
                 for attribute in relation_schema.attribute_names
             )
-            issued.append(
-                f"INSERT INTO {relation} ({columns}) VALUES ({rendered})"
-            )
+            planned.append((
+                relation, values,
+                f"INSERT INTO {relation} ({columns}) VALUES ({rendered})",
+            ))
+        return planned
+
+    def apply_insert(self, planned: list[tuple[str, Row, str]]) -> list[str]:
+        """Run a :meth:`plan_insert` plan; returns the SQL issued."""
+        for relation, values, _sql in planned:
             self.db.insert(relation, values)
-        return issued
+        return [sql for _relation, _values, sql in planned]
+
+    def insert(self, view_row: Mapping[str, Any]) -> list[str]:
+        """Insert a full view tuple; returns the SQL issued on base tables."""
+        return self.apply_insert(self.plan_insert(view_row))
 
     def delete(self, relation: str, equalities: Mapping[str, Any]) -> list[str]:
         """Delete base tuples of *relation* matching the view predicate."""

@@ -31,6 +31,7 @@ in :mod:`repro.rdb.plan`; the negative result is cached too.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
 from .expr import (
@@ -537,40 +538,17 @@ class _TreeCompiler:
                 ctx.results.append(ctx.rowids[only_name])
         else:
             project = self._compile_projection(project_node)
-            sort_names = sort_node.names
             # the sort key only has to order consistently with the
-            # interpreted executor's rowid tuples — for the common one-
-            # and two-relation shapes, skip the generic tuple() build
-            # (this closure runs once per emitted row)
-            if len(sort_names) == 1:
-                only = sort_names[0]
+            # interpreted executor's rowid tuples: a rowid for one
+            # relation, a tuple of rowids for several (this closure runs
+            # once per emitted row)
+            sort_key = itemgetter(*sort_node.names)
 
-                def collect(ctx: _Ctx) -> None:
-                    rowids = ctx.rowids
-                    ctx.results.append(
-                        (rowids[only], project(ctx.env, rowids, ctx.params))
-                    )
-            elif len(sort_names) == 2:
-                first, second = sort_names
-
-                def collect(ctx: _Ctx) -> None:
-                    rowids = ctx.rowids
-                    ctx.results.append(
-                        (
-                            (rowids[first], rowids[second]),
-                            project(ctx.env, rowids, ctx.params),
-                        )
-                    )
-            else:
-
-                def collect(ctx: _Ctx) -> None:
-                    rowids = ctx.rowids
-                    ctx.results.append(
-                        (
-                            tuple(rowids[name] for name in sort_names),
-                            project(ctx.env, rowids, ctx.params),
-                        )
-                    )
+            def collect(ctx: _Ctx) -> None:
+                rowids = ctx.rowids
+                ctx.results.append(
+                    (sort_key(rowids), project(ctx.env, rowids, ctx.params))
+                )
 
         root_run = self._compile_node(join_root, collect)
         return CompiledPlan(

@@ -743,6 +743,8 @@ class Database:
         self.statistics.on_update(relation_name, old, changes)
         current = table.get(rowid)
         for index in self.indexes[relation_name]:
+            if changes.keys().isdisjoint(index.columns):
+                continue  # its key is unchanged, so is its bucket
             index.remove(rowid, old)
             index.add(rowid, current)
         if self.deltas.enabled and not self._replaying:

@@ -197,7 +197,7 @@ class HashIndex:
         insertion order — no per-probe set copy or re-sort."""
         self.lookups += 1
         key = tuple(key)
-        if any(component is None for component in key):
+        if None in key:
             return ()
         bucket = self._entries.get(key)
         return tuple(bucket) if bucket else ()

@@ -196,7 +196,8 @@ class TableStatistics:
     """All statistics for one relation, with incremental maintenance.
 
     ``row_count`` and ``null_counts`` are exact after every DML
-    primitive (O(1) per row; a batch primitive counts its rows at once).  ``columns`` (distinct counts, histograms) reflect the last
+    primitive (O(1) per row; a batch primitive counts its rows at
+    once).  ``columns`` (distinct counts, histograms) reflect the last
     build and drift until :class:`StatisticsManager` rebuilds them.
     """
 

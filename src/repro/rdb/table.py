@@ -60,10 +60,14 @@ class Table:
             raise DatabaseError(
                 f"rowid {rowid} already present in {self.relation_name}"
             )
-        row = self._rows[rowid] = {
-            column: values.get(column) for column in self.columns
-        }
-        self._next_rowid = max(self._next_rowid, rowid + 1)
+        # an image this table stored (the undo of a delete, a clone's
+        # source row) has exactly its columns, in order: copy it whole
+        row = self._rows[rowid] = (
+            dict(values) if tuple(values) == self.columns
+            else {column: values.get(column) for column in self.columns}
+        )
+        if rowid >= self._next_rowid:
+            self._next_rowid = rowid + 1
         return row
 
     def delete_row(self, rowid: int) -> Row:

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import Outcome, UFilter
+from repro.rdb.sql.ast import InsertStatement
+from repro.rdb.sql.parser import parse_statement
 from repro.workloads import books, tpch
 from repro.xquery import parse_view_update
 
@@ -145,6 +147,25 @@ class TestInternalStrategy:
         checker = UFilter(book_db, book_view)
         report = checker.check(books.update("u13"), strategy="internal", execute=True)
         assert report.outcome is Outcome.TRANSLATED
+        assert book_db.count("review") == 3
+
+    def test_planned_statements_are_sql(self, book_db, book_view):
+        """Without execution the internal strategy reports the base-table
+        statements it would issue — the same text execution issues, and
+        text the SQL parser reads — and changes nothing."""
+        planned = UFilter(book_db, book_view).check(
+            books.update("u13"), strategy="internal"
+        )
+        assert book_db.count("review") == 2
+        assert planned.outcome is Outcome.TRANSLATED
+        statements = planned.data.statements
+        assert statements and all(
+            isinstance(parse_statement(sql), InsertStatement) for sql in statements
+        )
+        executed = UFilter(book_db, book_view).check(
+            books.update("u13"), strategy="internal", execute=True
+        )
+        assert executed.data.statements == statements
         assert book_db.count("review") == 3
 
     def test_key_conflict_detected(self, book_db, book_view):

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core import Translator, build_base_asg, build_view_asg, mark_view_asg, resolve_update
-from repro.workloads import books
+from repro.core.asg import NodeKind
+from repro.core.update_binding import OpResolution
+from repro.workloads import books, tpch
 
 
 @pytest.fixture()
@@ -171,3 +173,40 @@ class TestSubtreeDeletes:
         probe = translator.run_probe(subject, resolved)
         deletes, notes = translator.member_deletes(subject, subject, probe, True)
         assert {d.relation for d in deletes} == {"book"}
+
+
+class TestSchemaLevelMemo:
+    """The Translator memoizes two schema-level results per view node;
+    each must equal a fresh computation from the ASG, for every internal
+    node of the books view and of the TPC-H views."""
+
+    @staticmethod
+    def _views(book_db, tpch_tiny_db):
+        yield book_db, books.book_view_query()
+        for view in (tpch.v_linear(), tpch.v_bush(), tpch.v_fail("region"),
+                     tpch.v_fail("nation")):
+            yield tpch_tiny_db, view
+
+    def test_memo_matches_a_fresh_computation(self, book_db, tpch_tiny_db):
+        checked = 0
+        for db, view in self._views(book_db, tpch_tiny_db):
+            asg = build_view_asg(view, db.schema)
+            translator = Translator(db, asg)
+            for node in asg.internal_nodes():
+                subtree = list(node.iter_subtree())
+                republished = set()
+                for other in asg.internal_nodes():
+                    if not any(other is member for member in subtree):
+                        republished |= other.uc_binding
+                members = sorted(
+                    (m for m in subtree if m.kind is NodeKind.INTERNAL),
+                    key=lambda m: len(list(m.ancestors())),
+                )
+                op = OpResolution(op=None, kind="delete", node=node)
+                for _ in range(2):  # the first call fills the memo
+                    assert translator._republished_relations(node) == republished
+                    subject, cached = translator.subtree_internal_nodes(op)
+                    assert subject is node
+                    assert list(cached) == members
+                checked += 1
+        assert checked >= 8

@@ -20,6 +20,7 @@ from repro.rdb import FaultInjectedError, FaultPlan
 from repro.rdb.constraints import DeletePolicy, ForeignKey, PrimaryKey
 from repro.rdb.database import Database
 from repro.rdb.index import HashIndex
+from repro.rdb.ivm import BULK, DELETE
 from repro.rdb.schema import Attribute, Relation, Schema
 from repro.workloads import books
 
@@ -100,9 +101,12 @@ class Restricted(Exception):
 
 class Model:
     """Tables as ``{rowid: row}`` dicts.  Children of a parent are found
-    by scanning and come in the order they last took their current row
-    image (an index bucket's order); everything else is the documented
-    batch rule of ``Database._delete_batch``."""
+    by scanning and come in the order of the FK column's index bucket: a
+    row moves to the end of a bucket only when that index's columns
+    change, so each row carries one stamp per column, the time that
+    column last changed.  Everything else is the documented batch rule
+    of ``Database._delete_batch``.  ``deleted`` lists each removed row,
+    ``(relation, rowid, row)``, in the order the engine removes them."""
 
     def __init__(self, db):
         self.schema = db.schema
@@ -110,27 +114,32 @@ class Model:
             name: {rowid: dict(row) for rowid, row in table.scan()}
             for name, table in db.tables.items()
         }
+        self.deleted = []
         # set-up inserted each table in rowid order; the caller then
-        # touches the rows the set-up updated, which moved to the end
+        # touches the column the set-up updated, "up", in update order
         self.stamp = {}
         self.clock = 0
         for name, table in self.tables.items():
-            for rowid in table:
-                self.touch(name, rowid)
+            for rowid, row in table.items():
+                for column in row:
+                    self.touch(name, rowid, column)
 
-    def touch(self, relation, rowid):
+    def touch(self, relation, rowid, column):
         self.clock += 1
-        self.stamp[relation, rowid] = self.clock
+        self.stamp[relation, rowid, column] = self.clock
 
     def children(self, fk, parent_row):
         key = parent_row[fk.ref_columns[0]]
         if key is None:
             return []
+        column = fk.columns[0]
         found = [
             rowid for rowid, row in self.tables[fk.relation_name].items()
-            if row[fk.columns[0]] == key
+            if row[column] == key
         ]
-        return sorted(found, key=lambda rowid: self.stamp[fk.relation_name, rowid])
+        return sorted(
+            found, key=lambda rowid: self.stamp[fk.relation_name, rowid, column]
+        )
 
     def delete(self, relation, rowids, doomed=None):
         table = self.tables[relation]
@@ -165,10 +174,10 @@ class Model:
                 for child in children:
                     if child in self.tables[fk.relation_name]:
                         self.tables[fk.relation_name][child][fk.columns[0]] = None
-                        self.touch(fk.relation_name, child)
+                        self.touch(fk.relation_name, child, fk.columns[0])
         gone = [rowid for rowid in batch if rowid in table]
         for rowid in gone:
-            del table[rowid]
+            self.deleted.append((relation, rowid, table.pop(rowid)))
         return removed + len(gone)
 
 
@@ -198,7 +207,7 @@ def test_batched_delete_matches_model_and_rollback_restores(world):
     db = build(fks, self_ref, rows, updates, wal)
     model = Model(db)
     for rowid, _parent in updates:
-        model.touch(f"t{self_ref}", rowid)
+        model.touch(f"t{self_ref}", rowid, "up")
     before = snapshot(db)
     relation = f"t{target}"
 
@@ -224,6 +233,87 @@ def test_batched_delete_matches_model_and_rollback_restores(world):
     assert db.txn.pending == 0
     assert snapshot(db) == before
     assert db.verify_integrity() == []
+
+
+def _delta_events(db):
+    """Drain the delta log: ``(relation, kind, rowid, old image)``."""
+    return [(e.relation, e.kind, e.rowid, e.old) for e in db.deltas.take()]
+
+
+def _deletes(events):
+    return [(relation, rowid, old) for relation, kind, rowid, old in events
+            if kind == DELETE]
+
+
+@given(world=worlds(), site=st.sampled_from(["table.delete", "table.restore"]))
+@settings(max_examples=60, deadline=None)
+def test_faulted_batches_keep_counters_and_delta_order(world, site):
+    """A cascading delete and its rollback, then the same with an error
+    at the k-th ``table.delete`` (the delete) or ``table.restore`` (the
+    rollback) for every k, resumed by a rollback.  The batch primitives
+    hand the statistics and the delta log the rows that landed only
+    after the row loop, so: each rollback restores the pre-state rows,
+    indexes and exact counters, the audit (which recounts ``row_count``
+    and ``null_counts``) is clean, and the delete events are the model's
+    removed rows in the engine's per-row order, cut at row k on a fault.
+    A rollback records bulk markers only."""
+    fks, self_ref, rows, updates, target, victims, wal = world
+    relation = f"t{target}"
+
+    def start():
+        db = build(fks, self_ref, rows, updates, wal)
+        db.deltas.enable()
+        db.begin()
+        return db
+
+    def delete(db):
+        try:
+            db.delete(relation, victims)
+        except ForeignKeyViolation:
+            pass
+
+    def restored(db, before):
+        assert db.txn.pending == 0
+        assert snapshot(db) == before
+        assert db.verify_integrity() == []
+        assert {kind for _r, kind, _id, _old in _delta_events(db)} <= {BULK}
+
+    db = start()
+    before = snapshot(db)
+    model = Model(db)
+    for rowid, _parent in updates:
+        model.touch(f"t{self_ref}", rowid, "up")
+    try:
+        model.delete(relation, victims)
+    except Restricted:
+        pass
+    db.faults.start_recording()
+    delete(db)
+    trace = db.faults.stop_recording()
+    events = _delta_events(db)
+    assert _deletes(events) == model.deleted
+    db.faults.start_recording()
+    db.rollback()
+    trace += db.faults.stop_recording()
+    restored(db, before)
+
+    hits = sum(hit.startswith(f"{site}(") for hit in trace)
+    for k in range(1, hits + 1):
+        db = start()
+        db.faults.arm(FaultPlan(at=k, site=site, action="error"))
+        if site == "table.delete":
+            with pytest.raises(FaultInjectedError):
+                db.delete(relation, victims)
+            taken = _delta_events(db)
+            assert taken == events[:len(taken)]
+            assert _deletes(taken) == model.deleted[:k - 1]
+        else:
+            delete(db)
+            assert _delta_events(db) == events
+            with pytest.raises(FaultInjectedError):
+                db.rollback()
+        db.rollback()
+        restored(db, before)
 
 
 def test_self_referencing_cascade_cycle_terminates():

@@ -171,3 +171,45 @@ def test_null_join_values_do_not_match(db):
     )
     rows = execute_select(db, plan)
     assert all(row["title"] != "Orphan" for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# compiled projections against the interpreted oracle
+# ---------------------------------------------------------------------------
+
+#: SELECT lists over book ⋈ review: qualified columns, unqualified
+#: columns only one side has, and ``bookid``, which both sides carry
+PROJECTIONS = {
+    "qualified": [OutputColumn("title", "book"), OutputColumn("comment", "review"),
+                  OutputColumn("bookid", "review", label="rb")],
+    "unqualified-unique": [OutputColumn("title"), OutputColumn("reviewid"),
+                           OutputColumn("price", label="p")],
+    "ambiguous": [OutputColumn("bookid"), OutputColumn("title")],
+}
+
+
+@pytest.mark.parametrize("include_rowids", [False, True])
+@pytest.mark.parametrize("shape", sorted(PROJECTIONS))
+def test_compiled_projection_matches_the_interpreted_oracle(db, shape, include_rowids):
+    """A projection whose columns each resolve to one FROM item reads
+    its slots directly; an ambiguous unqualified column keeps the
+    interpreted resolution.  Both give the oracle's rows, ROWID keys
+    included, on a plan that did compile."""
+    plan = SelectPlan(
+        from_items=[FromItem("book"), FromItem("review")],
+        columns=PROJECTIONS[shape],
+        where=Comparison("=", col("book.bookid"), col("review.bookid")),
+        include_rowids=include_rowids,
+    )
+    compiled = execute_select(db, plan)
+    assert db.stats["plans_compiled"] == 1
+    oracle = execute_select(db, plan, optimize=False)
+
+    def canonical(rows):
+        return sorted(repr(sorted(row.items())) for row in rows)
+
+    assert compiled and canonical(compiled) == canonical(oracle)
+    expected_keys = [column.output_name for column in PROJECTIONS[shape]]
+    if include_rowids:
+        expected_keys += ["book.ROWID", "review.ROWID"]
+    assert all(list(row) == expected_keys for row in compiled)

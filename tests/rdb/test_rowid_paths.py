@@ -11,12 +11,14 @@ from repro.rdb import (
     Expr,
     HashIndex,
     Integer,
+    Or,
     Relation,
     Schema,
     col,
     conjoin,
     lit,
 )
+from repro.rdb.compiled import extract_where_params, where_signature
 from repro.workloads import books
 
 
@@ -313,3 +315,36 @@ def test_large_rollback_drift_still_invalidates_cached_plans(db):
     # 40 undone rows >> the threshold for a 43-row relation: recompile
     assert db.stats["plans_compiled"] == 2
     assert db.plan_cache.invalidations == 1
+
+
+# ---------------------------------------------------------------------------
+# OR trees (and AND nested under them) on the rowid-path cache
+# ---------------------------------------------------------------------------
+
+def _disjunction(price, pubid, title):
+    """``(price < ? AND pubid = ?) OR title = ?`` — one conjunct whose
+    signature and parameters come from Or and the And nested in it."""
+    return Or(
+        And(Comparison("<", col("book.price"), lit(price)),
+            Comparison("=", col("book.pubid"), lit(pubid))),
+        Comparison("=", col("book.title"), lit(title)),
+    )
+
+
+def test_or_and_nested_and_key_and_parameterize_the_rowid_cache(db):
+    first = _disjunction(40.0, "A01", "Data on the Web")
+    second = _disjunction(50.0, "A02", "no such title")
+    assert where_signature(first) == where_signature(second) == (
+        ("or", ("and", ("cmp", "<", ("col", "book", "price"), ("lit?",)),
+                ("cmp", "=", ("col", "book", "pubid"), ("lit?",))),
+         ("cmp", "=", ("col", "book", "title"), ("lit?",))),
+    )
+    assert extract_where_params(first) == (40.0, "A01", "Data on the Web")
+    compiled, hits = db.stats["rowid_plans_compiled"], db.stats["rowid_cache_hits"]
+    matched = []
+    for predicate in (first, second):
+        matched.append(db.select_rowids("book", predicate))
+        assert matched[-1] == db.select_rowids("book", predicate, compiled=False)
+    assert matched == [[1, 3], [2]]
+    assert db.stats["rowid_plans_compiled"] == compiled + 1
+    assert db.stats["rowid_cache_hits"] == hits + 1

@@ -121,6 +121,72 @@ def test_duplicate_driving_insert_rejected(book_db):
     assert book_db.count("review") == 3
 
 
+#: books and their publishers flattened into one element: a new book
+#: under a new publisher carries a supporting publisher insert
+FLAT_BOOK_VIEW = """<BookView>
+FOR $book IN document("default.xml")/book/row,
+    $publisher IN document("default.xml")/publisher/row
+WHERE ($book/pubid = $publisher/pubid)
+RETURN {
+    <book>
+        $book/bookid, $book/title, $book/price,
+        <publisher>
+            $publisher/pubid, $publisher/pubname
+        </publisher>
+    </book>}
+</BookView>"""
+
+INSERT_FLAT_BOOK = """
+    FOR $root IN document("BookView.xml")
+    UPDATE $root {{
+    INSERT
+        <book>
+            <bookid>"{bookid}"</bookid>
+            <title>"{bookid}"</title>
+            <price> 20.00 </price>
+            <publisher>
+                <pubid>Z01</pubid>
+                <pubname>{pubname}</pubname>
+            </publisher>
+        </book> }}
+"""
+
+
+def test_agreeing_duplicate_supporting_insert_is_skipped(book_db):
+    """Two staged books under the same new publisher, with the same
+    publisher values: the second publisher insert becomes ``skip`` and
+    both books land under the one new publisher."""
+    session = UpdateSession(book_db, FLAT_BOOK_VIEW)
+    result = session.execute(
+        [INSERT_FLAT_BOOK.format(bookid="98101", pubname="Zed Press"),
+         INSERT_FLAT_BOOK.format(bookid="98102", pubname="Zed Press")],
+        mode="staged", atomic=False,
+    )
+    assert [entry.status for entry in result.entries] == ["applied", "applied"]
+    roles = {
+        op.relation: op.role
+        for op in result.entries[1].report.data.planned_ops
+    }
+    assert roles == {"book": "driving", "publisher": "skip"}
+    assert book_db.find_rowids("publisher", {"pubid": "Z01"})
+    assert book_db.count("publisher") == 4 and book_db.count("book") == 5
+
+
+def test_disagreeing_duplicate_supporting_insert_conflicts(book_db):
+    """The same publisher key queued twice with different names breaks
+    duplication consistency inside the batch: the second update
+    conflicts before any SQL and the first alone lands."""
+    session = UpdateSession(book_db, FLAT_BOOK_VIEW)
+    result = session.execute(
+        [INSERT_FLAT_BOOK.format(bookid="98101", pubname="Zed Press"),
+         INSERT_FLAT_BOOK.format(bookid="98102", pubname="Other Press")],
+        mode="staged", atomic=False,
+    )
+    assert [entry.status for entry in result.entries] == ["applied", "conflict"]
+    assert "duplication consistency violated" in result.entries[1].reason
+    assert book_db.count("publisher") == 4 and book_db.count("book") == 4
+
+
 def test_insert_under_deleted_parent_rejected(book_db):
     """One update deletes book 98003, a later one inserts a review into
     it: the insert's parent is gone, so it conflicts — before any SQL."""

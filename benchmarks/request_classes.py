@@ -3,6 +3,7 @@
 Usage, from the repository root::
 
     python3 benchmarks/request_classes.py --workload tpch-bulk --seed 1 --requests 400
+    python3 benchmarks/request_classes.py --workload tpch-point --seed 1 --setup 5
 
 Builds the workload the way ``perfbench/run.py`` does (set-up, then one
 warm-up pass), sends the next ``--requests`` requests of its stream,
@@ -12,6 +13,11 @@ Prints one line per request class (the request's ``kind``) with its
 count, median and sum in milliseconds, then the restores and the
 total.  perfbench counts a restore only in ``updates_per_s``, so the
 restore line shows where that metric and the request latencies part.
+
+``--setup N`` prints the set-up split instead: ``build()`` and the
+warm-up pass, each the min and median over *N* set-ups, and the
+tracemalloc peak of one more ``build()``.  perfbench's ``setup_s`` is
+the median of their sum.
 
 The tool only imports ``perfbench``.  Every outcome is checked against
 the generator's expectation; the exit status is 1 when any request
@@ -25,6 +31,7 @@ import gc
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,6 +70,42 @@ def measure(workload_name: str, seed: int, requests: int) -> tuple[dict[str, lis
     return timings, failures
 
 
+def setup_split(workload_name: str, seed: int, setups: int) -> tuple[dict[str, list[float]], int, int]:
+    """Seconds of ``build()`` and of the warm-up pass over *setups*
+    set-ups, run as ``perfbench``'s set-up runs them, the traced peak
+    bytes of one more ``build()``, and the warm-up failure count."""
+    from perfbench.streams import WORKLOADS, Model
+
+    workload = WORKLOADS[workload_name](seed)
+    clock = time.perf_counter
+    split: dict[str, list[float]] = {"build": [], "warm-up": []}
+    failures = 0
+    for _ in range(setups):
+        env = None  # let the previous set-up's database go first
+        gc.collect()
+        started = clock()
+        env = workload.build()
+        split["build"].append(clock() - started)
+        stream = workload.requests(Model(env.db, workload.relations))
+        started = clock()
+        for _ in range(workload.warmup_length):
+            request = next(stream)
+            if env.send(request) != (request.expect, request.rows):
+                failures += 1
+            if request.restore:
+                env.restore()
+        split["warm-up"].append(clock() - started)
+    env = None
+    gc.collect()
+    tracemalloc.start()
+    try:
+        workload.build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return split, peak, failures
+
+
 def table(timings: dict[str, list[float]]) -> list[tuple[str, int, float, float]]:
     """``(class, count, median ms, sum ms)`` per request class, slowest
     sum first, then the restores and the requests' total."""
@@ -90,7 +133,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--requests", type=int, default=400)
+    parser.add_argument("--setup", type=int, metavar="N",
+                        help="print the set-up split over N set-ups instead")
     args = parser.parse_args(argv)
+
+    if args.setup:
+        split, peak, failures = setup_split(args.workload, args.seed, args.setup)
+        print(f"{'phase':12} {'min_s':>8} {'median_s':>9}")
+        for phase, seconds in split.items():
+            print(f"{phase:12} {min(seconds):8.3f} {statistics.median(seconds):9.3f}")
+        print(f"build traced peak: {peak / 1e6:.1f} MB")
+        if failures:
+            print(f"{failures} warm-up request(s) did not match the generator's expectation")
+        return 1 if failures else 0
 
     timings, failures = measure(args.workload, args.seed, args.requests)
     print(f"{'class':32} {'count':>6} {'median_ms':>10} {'sum_ms':>10}")

@@ -21,8 +21,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from types import SimpleNamespace
-from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..errors import (
     CheckViolation,
@@ -77,6 +78,23 @@ class RecoveryReport:
     def recovered(self) -> bool:
         """True iff there was crash damage to repair."""
         return bool(self.transactions)
+
+
+class _SchemaVersions(dict):
+    """``relation name -> DDL stamp``, the stamps drawn from one clock
+    for the whole database.  A dropped relation's entry is removed, and
+    the name may come back (each data checker restarts its temp-table
+    numbering): it then draws a stamp no plan cached earlier holds."""
+
+    __slots__ = ("clock",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.clock = 0
+
+    def bump(self, relation_name: str) -> None:
+        self.clock += 1
+        self[relation_name] = self.clock
 
 
 class Database:
@@ -203,10 +221,10 @@ class Database:
         self._planner_mark: Optional[
             tuple[dict[str, int], list[tuple[TableStatistics, int]]]
         ] = None
-        #: per-relation DDL counters (CREATE/DROP TABLE, CREATE INDEX) —
+        #: per-relation DDL stamps (CREATE/DROP TABLE, CREATE INDEX) —
         #: compiled plans referencing stale schema objects are discarded,
         #: while temp-table churn leaves unrelated cached plans alone
-        self.schema_versions: dict[str, int] = {}
+        self.schema_versions = _SchemaVersions()
         #: per-relation DML counters — a cached join order never outlives
         #: the cardinalities that justified it
         self.data_versions: dict[str, int] = {}
@@ -217,6 +235,7 @@ class Database:
             self.indexes[relation.name] = [
                 self._adopt(index) for index in self._build_indexes(relation)
             ]
+            self.schema_versions.bump(relation.name)
 
     def _adopt(self, storage: Any) -> Any:
         """Share this database's fault injector with a table/index."""
@@ -340,12 +359,19 @@ class Database:
         self.tables.pop(name, None)
         self.indexes.pop(name, None)
         self.statistics.forget(name)
-        self._bump_schema_version(name)
+        self._bump_schema_version(name, dropped=True)
 
-    def _bump_schema_version(self, relation_name: str) -> None:
-        self.schema_versions[relation_name] = (
-            self.schema_versions.get(relation_name, 0) + 1
-        )
+    def _bump_schema_version(
+        self, relation_name: str, dropped: bool = False
+    ) -> None:
+        if dropped:
+            # forgotten, not kept, or temp-table churn would grow the
+            # map forever: every live relation holds a stamp of at least
+            # 1, so a plan stamped while it existed reads 0 as stale, and
+            # a recreated name draws a stamp newer than any plan's
+            self.schema_versions.pop(relation_name, None)
+        else:
+            self.schema_versions.bump(relation_name)
         # DDL invalidates any maintained result over the relation the
         # same way it invalidates compiled plans
         if self.deltas.enabled:
@@ -543,23 +569,97 @@ class Database:
     # constraint checking helpers
     # ------------------------------------------------------------------
 
-    def _coerce(self, relation: Relation, values: Mapping[str, Any]) -> Row:
-        row: Row = {}
-        for name, attribute in relation.attributes.items():
-            row[name] = attribute.sql_type.coerce(values.get(name))
-        unknown = set(values) - set(relation.attributes)
-        if unknown:
-            raise SchemaError(
-                f"unknown column(s) {sorted(unknown)} for {relation.name!r}"
+    def _check_batch(
+        self, relation: Relation, rows: Iterable[Mapping[str, Any]]
+    ) -> list[Row]:
+        """Coerce and check a batch of new rows in one ordered pass.
+
+        Each row in turn is coerced, then checked for NOT NULL, CHECK,
+        uniqueness (against the stored rows and the batch's earlier
+        rows) and its foreign keys.  A parent key is probed once per
+        batch, through the parent's index on exactly the referenced
+        columns when it has one; a self-referencing key also finds the
+        batch's earlier rows.  The first offending row raises what
+        inserting the rows one at a time would have raised for it.
+        Returns the coerced rows, in order.
+        """
+        name = relation.name
+        attributes = relation.attributes
+        coercers = [
+            (column, attribute.sql_type.coerce)
+            for column, attribute in attributes.items()
+        ]
+        not_null = relation.not_null_columns()
+        checks = relation.check_constraints
+        unique = [
+            (index, _tuple_getter(index.columns), set())
+            for index in self.indexes[name] if index.unique
+        ]
+        # per FK: its key getter, the parent keys found so far, a probe
+        references = [
+            (fk, _tuple_getter(fk.columns), set(), self._parent_probe(fk))
+            for fk in relation.foreign_keys
+        ]
+        # a checked row is a parent of the later rows of the batch
+        adopt = [
+            (found, _tuple_getter(fk.ref_columns))
+            for fk, _key_of, found, _probe in references
+            if fk.ref_relation == name
+        ]
+        checked: list[Row] = []
+        for values in rows:
+            get = values.get
+            row = {column: coerce(get(column)) for column, coerce in coercers}
+            if not values.keys() <= attributes.keys():
+                unknown = set(values) - set(attributes)
+                raise SchemaError(
+                    f"unknown column(s) {sorted(unknown)} for {name!r}"
+                )
+            for column in not_null:
+                if row[column] is None:
+                    raise _null_violation(name, column)
+            if checks:
+                self._check_checks(relation, row)
+            for index, key_of, seen in unique:
+                key = key_of(row)
+                if None in key:
+                    continue
+                if key in index or key in seen:
+                    raise _duplicate_key(name, index, key)
+                seen.add(key)
+            for fk, key_of, found, probe in references:
+                key = key_of(row)
+                # NULL FK components never violate (SQL MATCH SIMPLE)
+                if None in key or key in found:
+                    continue
+                if not probe(key):
+                    raise _dangling(name, fk, key)
+                found.add(key)
+            for found, parent_key in adopt:
+                found.add(parent_key(row))
+            checked.append(row)
+        return checked
+
+    def _parent_probe(self, fk: ForeignKey) -> Callable[[tuple], Any]:
+        """A probe whose result is truthy iff a parent holds a key of
+        *fk* (child columns, in FK order): a lookup in the parent's index
+        over exactly the referenced columns, ``find_rowids`` when none
+        covers them."""
+        parent = fk.ref_relation
+        index = self.index_on(parent, fk.ref_columns)
+        if index is None:
+            return lambda key: self.find_rowids(
+                parent, dict(zip(fk.ref_columns, key))
             )
-        return row
+        if index.columns == fk.ref_columns:
+            return index.lookup_rowids
+        order = [fk.ref_columns.index(column) for column in index.columns]
+        return lambda key: index.lookup_rowids([key[at] for at in order])
 
     def _check_not_null(self, relation: Relation, row: Row) -> None:
         for column in relation.not_null_columns():
             if row.get(column) is None:
-                raise NotNullViolation(
-                    f"{relation.name}.{column} may not be NULL"
-                )
+                raise _null_violation(relation.name, column)
 
     def _check_checks(self, relation: Relation, row: Row) -> None:
         env = {relation.name: row}
@@ -575,14 +675,10 @@ class Database:
     ) -> None:
         for index in self.indexes[relation.name]:
             if index.would_conflict(row, ignore=ignore):
-                message = (
-                    f"{relation.name}: duplicate key "
-                    f"({', '.join(index.columns)}) = "
-                    f"{tuple(row.get(c) for c in index.columns)!r}"
+                raise _duplicate_key(
+                    relation.name, index,
+                    tuple(row.get(c) for c in index.columns),
                 )
-                if index.name.startswith("pk_"):
-                    raise PrimaryKeyViolation(message)
-                raise UniqueViolation(message)
 
     def _check_foreign_keys(self, relation: Relation, row: Row) -> None:
         for fk in relation.foreign_keys:
@@ -593,10 +689,7 @@ class Database:
                 fk.ref_relation, dict(zip(fk.ref_columns, key))
             )
             if not parents:
-                raise ForeignKeyViolation(
-                    f"{relation.name}({', '.join(fk.columns)}) = {key!r} has "
-                    f"no parent in {fk.ref_relation}"
-                )
+                raise _dangling(relation.name, fk, key)
 
     # ------------------------------------------------------------------
     # physical operations (index maintenance only, no constraints)
@@ -639,41 +732,21 @@ class Database:
         self.faults.hit("wal.record", relation_name)
         self.wal.log_undo(self._wal_txn, kind, relation_name, rowid, old_values)
 
-    def _physical_insert(self, relation_name: str, row: Row) -> int:
-        self._bump_data_version(relation_name)
-        table = self.table(relation_name)
-        self._journal_undo("insert", relation_name, table.next_rowid())
-        # table + statistics form the primitive's atomic core (no
-        # injection site between them); index maintenance comes last so
-        # a transient fault mid-loop leaves a tear the conditional undo
-        # fully repairs — re-adding a present entry and removing an
-        # absent one are both no-ops
-        rowid = table.insert_row(row)
-        stored = table.get(rowid)
-        self.statistics.on_insert(relation_name, stored)
-        for index in self.indexes[relation_name]:
-            index.add(rowid, stored)
-        # recorded only once the mutation fully landed: a fault above
-        # leaves no event, and the rollback that repairs the tear
-        # records a bulk marker instead (see _replay_undo)
-        if self.deltas.enabled and not self._replaying:
-            self.deltas.record_insert(relation_name, rowid, stored)
-        return rowid
-
-    # The two batch primitives run the same steps as the single-row
-    # ones, but only the steps that must interleave with the table stay
-    # in the row loop: per row, the undo image is journaled (when the
-    # batch journals at all) and the table mutated.  Every other sink
-    # takes the batch once: each index, and, in a ``finally``, the
-    # statistics and then the delta log, for the rows whose table change
-    # landed, in row order.  Index upkeep sits on the side of the table
-    # change that keeps a torn batch repairable, because a resumed undo
-    # picks rows by table presence: a delete leaves every index first,
-    # so a fault anywhere leaves rows still stored that the resumed undo
-    # deletes again; a restore indexes, in the ``finally``, the rows
-    # whose table change landed, so a fault at row k still indexes rows
-    # 1..k-1.  Re-removing an absent entry and re-adding a present one
-    # are both no-ops.
+    # The two batch primitives store and remove rows, a batch per call
+    # (a load, a cascade level, an undo group, a clone).  Only the steps
+    # that must interleave with the table stay in the row loop: per
+    # row, the undo
+    # image is journaled (when the batch journals at all) and the table
+    # mutated.  Every other sink takes the batch once: each index, and,
+    # in a ``finally``, the statistics and then the delta log, for the
+    # rows whose table change landed, in row order.  Index upkeep sits
+    # on the side of the table change that keeps a torn batch
+    # repairable, because a resumed undo picks rows by table presence: a
+    # delete leaves every index first, so a fault anywhere leaves rows
+    # still stored that the resumed undo deletes again; a store indexes,
+    # in the ``finally``, the rows whose table change landed, so a fault
+    # at row k still indexes rows 1..k-1.  Re-removing an absent entry
+    # and re-adding a present one are both no-ops.
 
     def _physical_delete_rows(
         self, relation_name: str, images: Sequence[tuple[int, Row]]
@@ -702,20 +775,28 @@ class Database:
                     for rowid, row in gone:
                         self.deltas.record_delete(relation_name, rowid, row)
 
-    def _physical_restore_rows(
-        self, relation_name: str, images: Sequence[tuple[int, Mapping[str, Any]]]
+    def _physical_store_rows(
+        self,
+        relation_name: str,
+        images: Sequence[tuple[int, Mapping[str, Any]]],
+        fresh: bool = False,
     ) -> None:
         """Store each ``(rowid, image)`` (all absent) under its own
-        rowid as one batch: the undo of a delete, and :meth:`clone`."""
+        rowid as one batch: a :meth:`load`, the undo of a delete, and
+        :meth:`clone`.  *fresh* images are rows built for this call,
+        with exactly the table's columns in order; they are stored as
+        they are, not copied."""
         self._bump_data_version(relation_name, len(images))
         table = self.table(relation_name)
         journal = self._journals()
         stored: list[tuple[int, Row]] = []
         try:
-            for rowid, image in images:
+            for pair in images:
+                rowid, image = pair
                 if journal:
                     self._journal_undo("insert", relation_name, rowid)
-                stored.append((rowid, table.restore_row(rowid, image)))
+                row = table.restore_row(rowid, image, fresh)
+                stored.append(pair if fresh else (rowid, row))
         finally:
             if stored:
                 self.statistics.on_insert_rows(
@@ -804,23 +885,10 @@ class Database:
                 self._wal_txn = None
 
     def insert(self, relation_name: str, values: Mapping[str, Any]) -> int:
-        """INSERT a tuple, enforcing every constraint.  Returns the rowid."""
-        relation = self.relation(relation_name)
-        row = self._coerce(relation, values)
-        self._check_not_null(relation, row)
-        self._check_checks(relation, row)
-        self._check_unique(relation, row)
-        self._check_foreign_keys(relation, row)
-        with self._autocommit_journal():
-            # undo is recorded *before* the mutation (the rowid the
-            # table will allocate is deterministic): a fault inside the
-            # physical insert leaves a row the rollback can still find
-            rowid = self.table(relation_name).next_rowid()
-            self.txn.record(UndoAction(UndoKind.INSERT, relation_name, rowid))
-            allocated = self._physical_insert(relation_name, row)
-            assert allocated == rowid
-        self.stats["inserts"] += 1
-        return rowid
+        """INSERT a tuple, enforcing every constraint.  Returns the rowid.
+
+        A :meth:`load` of one row."""
+        return self.load(relation_name, (values,))[0]
 
     def delete(self, relation_name: str, rowids: Iterable[int]) -> int:
         """DELETE the given rows, honouring each FK's delete policy.
@@ -1187,7 +1255,7 @@ class Database:
                 for index in self.indexes[relation_name]:
                     index.add_rows(rows)
             if images:
-                self._physical_restore_rows(relation_name, list(images.items()))
+                self._physical_store_rows(relation_name, list(images.items()))
         else:
             for action in group:
                 if action.rowid in table:
@@ -1431,9 +1499,39 @@ class Database:
     # bulk loading / cloning
     # ------------------------------------------------------------------
 
-    def load(self, relation_name: str, rows: Sequence[Mapping[str, Any]]) -> list[int]:
-        """Insert many rows (constraints enforced row by row)."""
-        return [self.insert(relation_name, row) for row in rows]
+    def load(
+        self, relation_name: str, rows: Iterable[Mapping[str, Any]]
+    ) -> list[int]:
+        """INSERT many rows as one statement.  Returns their rowids.
+
+        The whole batch is checked before anything is stored
+        (:meth:`_check_batch`): the first offending row raises exactly
+        what inserting the rows one at a time would have raised for it,
+        and the statement stores nothing, inside a transaction or
+        outside one.  The rows then land with one batch primitive call
+        under one undo scope, taking consecutive rowids in order — the
+        same rows under the same rowids as one :meth:`insert` per row.
+        *rows* is read once, so it may be a generator.
+        """
+        checked = self._check_batch(self.relation(relation_name), rows)
+        if not checked:
+            return []
+        table = self.table(relation_name)
+        with self._autocommit_journal():
+            # undo is recorded *before* the mutation (rowid allocation
+            # is deterministic): a fault inside the store leaves rows
+            # the rollback can still find
+            start = table.next_rowid()
+            rowids = list(range(start, start + len(checked)))
+            self.txn.record_all([
+                UndoAction(UndoKind.INSERT, relation_name, rowid)
+                for rowid in rowids
+            ])
+            self._physical_store_rows(
+                relation_name, list(zip(rowids, checked)), fresh=True
+            )
+        self.stats["inserts"] += len(checked)
+        return rowids
 
     def clone(self) -> "Database":
         """A deep copy sharing the schema: same rows under the same rowids.
@@ -1450,9 +1548,43 @@ class Database:
         for relation_name, table in self.tables.items():
             if relation_name not in copy.tables:  # temp tables
                 copy.create_temp_table(relation_name, table.columns)
-            copy._physical_restore_rows(relation_name, list(table.scan()))
+            copy._physical_store_rows(relation_name, list(table.scan()))
         return copy
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sizes = ", ".join(f"{n}={len(t)}" for n, t in self.tables.items())
         return f"Database({sizes})"
+
+
+# ----------------------------------------------------------------------
+# constraint checking: key getters and violation messages
+# ----------------------------------------------------------------------
+
+def _tuple_getter(columns: Sequence[str]) -> Callable[[Row], tuple]:
+    """A getter of *columns* of a complete row, always as a tuple."""
+    if len(columns) == 1:
+        column = columns[0]
+        return lambda row: (row[column],)
+    return itemgetter(*columns)
+
+
+def _null_violation(relation_name: str, column: str) -> NotNullViolation:
+    return NotNullViolation(f"{relation_name}.{column} may not be NULL")
+
+
+def _duplicate_key(
+    relation_name: str, index: HashIndex, key: tuple
+) -> UniqueViolation:
+    message = (
+        f"{relation_name}: duplicate key ({', '.join(index.columns)}) = {key!r}"
+    )
+    if index.name.startswith("pk_"):
+        return PrimaryKeyViolation(message)
+    return UniqueViolation(message)
+
+
+def _dangling(relation_name: str, fk: ForeignKey, key: tuple) -> ForeignKeyViolation:
+    return ForeignKeyViolation(
+        f"{relation_name}({', '.join(fk.columns)}) = {key!r} has "
+        f"no parent in {fk.ref_relation}"
+    )

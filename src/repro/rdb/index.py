@@ -182,6 +182,11 @@ class HashIndex:
         bucket = self._entries.get(key, ())
         return any(rowid != ignore for rowid in bucket)
 
+    def __contains__(self, key: Key) -> bool:
+        """True iff some row holds *key*, a full key tuple (no probe is
+        counted)."""
+        return key in self._entries
+
     # -- probing -------------------------------------------------------------
 
     def lookup(self, key: Iterable[Any]) -> set[int]:

@@ -65,6 +65,8 @@ class Relation:
                 )
             self.attributes[attribute.name] = attribute
         self.constraints: list[Constraint] = []
+        #: not_null_columns memo, cleared whenever a constraint is added
+        self._not_null: Optional[tuple[str, ...]] = None
         for constraint in constraints:
             self.add_constraint(constraint)
 
@@ -78,6 +80,7 @@ class Relation:
                 )
         constraint.relation_name = self.name
         self.constraints.append(constraint)
+        self._not_null = None
 
     @staticmethod
     def _constraint_columns(constraint: Constraint) -> tuple[str, ...]:
@@ -123,13 +126,18 @@ class Relation:
     def check_constraints(self) -> list[Check]:
         return [c for c in self.constraints if isinstance(c, Check)]
 
-    def not_null_columns(self) -> set[str]:
-        """Columns that may not be NULL (explicit NOT NULL or key member)."""
-        columns = {c.column for c in self.constraints if isinstance(c, NotNull)}
-        key = self.primary_key
-        if key is not None:
-            columns.update(key.columns)
-        return columns
+    def not_null_columns(self) -> tuple[str, ...]:
+        """Columns that may not be NULL (explicit NOT NULL or key member),
+        in declared attribute order."""
+        if self._not_null is None:
+            columns = {c.column for c in self.constraints if isinstance(c, NotNull)}
+            key = self.primary_key
+            if key is not None:
+                columns.update(key.columns)
+            self._not_null = tuple(
+                name for name in self.attributes if name in columns
+            )
+        return self._not_null
 
     def is_unique_column(self, column: str) -> bool:
         """True iff *column* alone is a unique identifier of this relation.

@@ -211,13 +211,6 @@ class TableStatistics:
 
     # -- incremental maintenance (exact counters only) ----------------------
 
-    def on_insert(self, row: Row) -> None:
-        self.row_count += 1
-        self.mods_since_build += 1
-        for column in self.null_counts:
-            if row.get(column) is None:
-                self.null_counts[column] += 1
-
     def on_insert_rows(self, rows: Sequence[Row]) -> None:
         self._count_rows(rows, 1)
 
@@ -382,13 +375,8 @@ class StatisticsManager:
 
     # -- DML hooks (called from Database's physical layer) -------------------
 
-    def on_insert(self, relation_name: str, row: Row) -> None:
-        stats = self._tables.get(relation_name)
-        if stats is not None:
-            stats.on_insert(row)
-
     def on_insert_rows(self, relation_name: str, rows: Sequence[Row]) -> None:
-        """:meth:`on_insert` for a batch of stored rows."""
+        """Count in a batch of stored rows."""
         stats = self._tables.get(relation_name)
         if stats is not None:
             stats.on_insert_rows(rows)

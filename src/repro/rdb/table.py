@@ -52,9 +52,15 @@ class Table:
         self._rows[rowid] = row
         return rowid
 
-    def restore_row(self, rowid: int, values: Mapping[str, Any]) -> Row:
-        """Re-insert a previously deleted row under its old rowid (undo);
-        returns the stored row."""
+    def restore_row(
+        self, rowid: int, values: Mapping[str, Any], fresh: bool = False
+    ) -> Row:
+        """Store a row under a given, absent rowid (a checked insert, the
+        undo of a delete, a clone); returns the stored row.
+
+        A *fresh* row is a dict built for this call with exactly the
+        table's columns, in order, that the caller hands over: it is
+        stored as it is, not copied."""
         self.faults.hit("table.restore", self.relation_name)
         if rowid in self._rows:
             raise DatabaseError(
@@ -63,7 +69,8 @@ class Table:
         # an image this table stored (the undo of a delete, a clone's
         # source row) has exactly its columns, in order: copy it whole
         row = self._rows[rowid] = (
-            dict(values) if tuple(values) == self.columns
+            values if fresh
+            else dict(values) if tuple(values) == self.columns
             else {column: values.get(column) for column in self.columns}
         )
         if rowid >= self._next_rowid:

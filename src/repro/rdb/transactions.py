@@ -15,7 +15,7 @@ engine raises a constraint violation mid-sequence.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from ..errors import TransactionError
@@ -31,13 +31,14 @@ class UndoKind(enum.Enum):
     UPDATE = "update"   # undo by restoring the old column values
 
 
-@dataclass
+@dataclass(slots=True)
 class UndoAction:
     kind: UndoKind
     relation_name: str
     rowid: int
-    #: full old row image for DELETE, changed-columns old image for UPDATE
-    old_values: dict[str, Any] = field(default_factory=dict)
+    #: full old row image for DELETE, changed-columns old image for
+    #: UPDATE; an INSERT has none
+    old_values: Optional[dict[str, Any]] = None
 
 
 class TransactionManager:

@@ -120,6 +120,8 @@ def build_chain_db(seed_parents: int = 0) -> Database:
         ],
     )
     db.load("grand", [{"gid": "G1", "cid": "C1", "gname": "g"}])
-    for i in range(seed_parents):
-        db.insert("parent", {"pid": f"S{i:04d}", "pname": "seed"})
+    db.load(
+        "parent",
+        ({"pid": f"S{i:04d}", "pname": "seed"} for i in range(seed_parents)),
+    )
     return db

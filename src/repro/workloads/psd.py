@@ -68,41 +68,37 @@ def build_psd_database(entries: int = 20, seed: int = 11) -> Database:
     engine = SQLEngine(db)
     for statement in parse_script(PSD_DDL):
         engine.execute(statement)
-    reference_id = 0
-    feature_id = 0
+    # an entry, its references and its features draw from the rng in
+    # turn: collect the three relations in that order, then load each
+    # with one statement
+    entry_rows: list[dict] = []
+    references: list[dict] = []
+    features: list[dict] = []
     for index in range(entries):
         eid = f"P{index:05d}"
-        db.insert(
-            "entry",
-            {
-                "eid": eid,
-                "protein_name": f"Protein {index}",
-                "organism": _ORGANISMS[index % len(_ORGANISMS)],
-                "seq_length": rng.randint(80, 2000),
-            },
-        )
+        entry_rows.append({
+            "eid": eid,
+            "protein_name": f"Protein {index}",
+            "organism": _ORGANISMS[index % len(_ORGANISMS)],
+            "seq_length": rng.randint(80, 2000),
+        })
         for _ in range(rng.randint(1, 3)):
-            db.insert(
-                "reference",
-                {
-                    "rid": f"R{reference_id:05d}",
-                    "eid": eid,
-                    "title": f"Characterization of protein {index}",
-                    "journal": rng.choice(_JOURNALS),
-                },
-            )
-            reference_id += 1
+            references.append({
+                "rid": f"R{len(references):05d}",
+                "eid": eid,
+                "title": f"Characterization of protein {index}",
+                "journal": rng.choice(_JOURNALS),
+            })
         for _ in range(rng.randint(0, 4)):
-            db.insert(
-                "feature",
-                {
-                    "fid": f"F{feature_id:05d}",
-                    "eid": eid,
-                    "ftype": rng.choice(_FEATURE_TYPES),
-                    "location": f"{rng.randint(1, 500)}..{rng.randint(501, 999)}",
-                },
-            )
-            feature_id += 1
+            features.append({
+                "fid": f"F{len(features):05d}",
+                "eid": eid,
+                "ftype": rng.choice(_FEATURE_TYPES),
+                "location": f"{rng.randint(1, 500)}..{rng.randint(501, 999)}",
+            })
+    db.load("entry", entry_rows)
+    db.load("reference", references)
+    db.load("feature", features)
     return db
 
 

@@ -137,58 +137,55 @@ def build_tpch_database(scale: ScaleRows, seed: int = 7) -> Database:
     for statement in parse_script(TPCH_DDL):
         engine.execute(statement)
 
-    for key in range(scale.regions):
-        db.insert(
-            "region",
-            {
-                "r_regionkey": key,
-                "r_name": _REGION_NAMES[key % len(_REGION_NAMES)],
-                "r_comment": f"region comment {key}",
-            },
-        )
-    for key in range(scale.nations):
-        db.insert(
-            "nation",
-            {
-                "n_nationkey": key,
-                "n_name": f"NATION_{key:03d}",
-                "n_regionkey": key % scale.regions,
-                "n_comment": f"nation comment {key}",
-            },
-        )
-    for key in range(scale.customers):
-        db.insert(
-            "customer",
-            {
-                "c_custkey": key,
-                "c_name": f"Customer#{key:06d}",
-                "c_nationkey": key % scale.nations,
-                "c_acctbal": round(rng.uniform(-999.0, 9999.0), 2),
-            },
-        )
+    db.load("region", (
+        {
+            "r_regionkey": key,
+            "r_name": _REGION_NAMES[key % len(_REGION_NAMES)],
+            "r_comment": f"region comment {key}",
+        }
+        for key in range(scale.regions)
+    ))
+    db.load("nation", (
+        {
+            "n_nationkey": key,
+            "n_name": f"NATION_{key:03d}",
+            "n_regionkey": key % scale.regions,
+            "n_comment": f"nation comment {key}",
+        }
+        for key in range(scale.nations)
+    ))
+    db.load("customer", (
+        {
+            "c_custkey": key,
+            "c_name": f"Customer#{key:06d}",
+            "c_nationkey": key % scale.nations,
+            "c_acctbal": round(rng.uniform(-999.0, 9999.0), 2),
+        }
+        for key in range(scale.customers)
+    ))
+    # orders and their lineitems draw from the rng in turn: collect both
+    # in that order, then load each relation with one statement
+    orders: list[dict] = []
+    lineitems: list[dict] = []
     order_key = 0
     for customer_key in range(scale.customers):
         for _ in range(scale.orders // scale.customers):
-            db.insert(
-                "orders",
-                {
-                    "o_orderkey": order_key,
-                    "o_custkey": customer_key,
-                    "o_totalprice": round(rng.uniform(100.0, 50000.0), 2),
-                    "o_orderstatus": rng.choice(["O", "F", "P"]),
-                },
-            )
+            orders.append({
+                "o_orderkey": order_key,
+                "o_custkey": customer_key,
+                "o_totalprice": round(rng.uniform(100.0, 50000.0), 2),
+                "o_orderstatus": rng.choice(["O", "F", "P"]),
+            })
             for line in range(1, scale.lineitems_per_order + 1):
-                db.insert(
-                    "lineitem",
-                    {
-                        "l_orderkey": order_key,
-                        "l_linenumber": line,
-                        "l_quantity": rng.randint(1, 50),
-                        "l_extendedprice": round(rng.uniform(10.0, 9000.0), 2),
-                    },
-                )
+                lineitems.append({
+                    "l_orderkey": order_key,
+                    "l_linenumber": line,
+                    "l_quantity": rng.randint(1, 50),
+                    "l_extendedprice": round(rng.uniform(10.0, 9000.0), 2),
+                })
             order_key += 1
+    db.load("orders", orders)
+    db.load("lineitem", lineitems)
     return db
 
 

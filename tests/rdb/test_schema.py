@@ -47,7 +47,7 @@ def test_primary_key_found(book_schema):
 
 def test_not_null_includes_pk_columns(book_schema):
     columns = book_schema.relation("book").not_null_columns()
-    assert {"bookid", "title"} <= columns
+    assert {"bookid", "title"} <= set(columns)
     assert "price" not in columns
 
 

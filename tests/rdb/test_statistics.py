@@ -97,8 +97,7 @@ def test_heterogeneous_column_has_distinct_but_no_histogram():
     db = Database(schema)
     # VarChar coerces to str, so force mixed types through the physical
     # layer the way restores do
-    db._physical_insert("m", {"v": 1})
-    db._physical_insert("m", {"v": "x"})
+    db._physical_store_rows("m", [(1, {"v": 1}), (2, {"v": "x"})])
     stats = db.statistics.table("m")
     assert stats.columns["v"].distinct == 2
     assert stats.columns["v"].histogram is None

@@ -1,9 +1,11 @@
 """Workload sanity: books, TPC-H, W3C audit, PSD."""
 
+import hashlib
+
 import pytest
 
 from repro.core import Outcome, UFilter, check_rectangle
-from repro.workloads import books, psd, tpch
+from repro.workloads import books, chains, psd, tpch
 from repro.workloads.w3c_usecases import PAPER_FIG12, all_queries, run_audit
 from repro.xml import evaluate_path
 from repro.xquery import evaluate_view
@@ -84,6 +86,42 @@ class TestTpch:
     def test_unknown_republication_rejected(self):
         with pytest.raises(ValueError):
             tpch.v_fail("ghost")
+
+
+def _digest(db):
+    """Every relation's rows under their rowids, and its next rowid."""
+    digest = hashlib.sha256()
+    for name in sorted(db.tables):
+        table = db.tables[name]
+        for rowid, row in table.scan():
+            digest.update(repr((name, rowid, sorted(row.items()))).encode())
+        digest.update(repr((name, table.next_rowid())).encode())
+    return digest.hexdigest()[:16]
+
+
+#: the builders' output when they inserted one row at a time
+BUILT_ROW_BY_ROW = {
+    ("tpch", 10, 1): "62d30ed017ef7d79",
+    ("tpch", 10, 2): "b5b6d9639f113ed4",
+    ("tpch", 10, 3): "31c3ab5dd90b3cdb",
+    ("tpch", 50, 1): "67032d09e40df232",
+    ("tpch", 50, 2): "36de948a70632de5",
+    ("tpch", 50, 3): "8577b5e78f710359",
+    ("chain", 40, None): "844f4ae829e31158",
+    ("psd", 20, 11): "e3a26ca3a4a2c5c0",
+}
+
+
+@pytest.mark.parametrize("kind, size, seed", sorted(BUILT_ROW_BY_ROW, key=str))
+def test_batch_builders_store_the_row_by_row_rows_and_rowids(kind, size, seed):
+    if kind == "tpch":
+        db = tpch.build_tpch_database(tpch.scale_rows(size), seed=seed)
+    elif kind == "chain":
+        db = chains.build_chain_db(size)
+    else:
+        db = psd.build_psd_database(size, seed=seed)
+    assert _digest(db) == BUILT_ROW_BY_ROW[kind, size, seed]
+    assert db.verify_integrity() == []
 
 
 class TestW3CAudit:
